@@ -27,9 +27,7 @@ type Report struct {
 	// cell. This is the BENCH_serving.json payload.
 	Serving []ServingResult `json:"serving,omitempty"`
 	// Analysis holds per-engine static-analysis totals over the selected
-	// items: how many dynamic checks each configuration's compiled code
-	// elides. Engines with analysis disabled report zeros, pinning the
-	// check-elimination contribution in the perf trajectory.
+	// items: how many functions are proven read-only.
 	Analysis []AnalysisResult `json:"analysis,omitempty"`
 	// Metering holds the fuel-metering overhead measurement: the same
 	// workload with metering disabled vs an unexhaustable budget, per
@@ -60,8 +58,6 @@ type MeteringResult struct {
 type AnalysisResult struct {
 	Engine        string `json:"engine"`
 	Funcs         int    `json:"funcs"`
-	BoundsElided  int    `json:"bounds_checks_elided"`
-	PollsElided   int    `json:"loop_polls_elided"`
 	ReadOnlyFuncs int    `json:"read_only_funcs"`
 }
 

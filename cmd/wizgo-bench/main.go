@@ -384,8 +384,7 @@ func runMetering(report *Report, runs int) {
 }
 
 // analysisTotals compiles the selected items once per catalog engine
-// and totals the static-analysis stats: the elided-check counts the
-// perf trajectory pairs with the execution-time figures.
+// and totals the static-analysis stats.
 func analysisTotals(items []workloads.Item) []AnalysisResult {
 	var results []AnalysisResult
 	for _, cfg := range engines.Catalog() {
@@ -396,8 +395,6 @@ func analysisTotals(items []workloads.Item) []AnalysisResult {
 			check(err)
 			st := cm.AnalysisStats()
 			r.Funcs += st.Funcs
-			r.BoundsElided += st.BoundsProven
-			r.PollsElided += st.PollsElided
 			r.ReadOnlyFuncs += st.ReadOnly
 		}
 		results = append(results, r)

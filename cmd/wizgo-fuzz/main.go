@@ -1,9 +1,9 @@
 // Command wizgo-fuzz drives the differential testing engine from the
 // command line: it generates structure-aware modules (internal/difftest)
-// and cross-executes each one through every engine configuration ×
-// analysis on/off, reporting any divergence. With -minimize, diverging
-// modules are shrunk and written into a corpus directory as
-// self-contained reproducers.
+// and cross-executes each one through every engines.DifferentialMatrix()
+// configuration, fresh and again after a pooled reset, reporting any
+// divergence. With -minimize, diverging modules are shrunk and written
+// into a corpus directory as self-contained reproducers.
 //
 // The command also retains the module-writing mode of its predecessor
 // (wasmgen): -write-modules dumps the deterministic workload modules of
@@ -115,7 +115,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		fmt.Printf("wizgo-fuzz: %d generated + %d mutated modules across %d configs: %d divergences\n",
+		fmt.Printf("wizgo-fuzz: %d generated + %d mutated modules across %d configs (each rerun after reset): %d divergences\n",
 			sum.Ran, sum.Invalid, len(sum.Configs), sum.Divergences)
 	}
 	if sum.Divergences > 0 {

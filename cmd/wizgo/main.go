@@ -51,7 +51,6 @@ func main() {
 	stats := flag.Bool("stats", false, "report the unified telemetry snapshot (cache, pool, compile/link/execute histograms, traps) after the run")
 	statsJSON := flag.Bool("json", false, "with -stats, write the snapshot as JSON to stdout instead of text to stderr")
 	profileTop := flag.Int("profile", 0, "attach the execution profiler and report the top-N hot functions after each run")
-	noAnalysis := flag.Bool("noanalysis", false, "disable the static-analysis pass (keep every dynamic bounds check and interrupt poll)")
 	flag.Parse()
 
 	if *list {
@@ -72,7 +71,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.CompileWorkers = *workers
-	cfg.NoAnalysis = *noAnalysis
 	var cache *codecache.Cache
 	if *cacheDir != "" || *stats {
 		// A cache handle of our own lets -stats report the memory and
@@ -211,8 +209,7 @@ func main() {
 			cm.Timings.Compile, cm.Timings.CodeBytes)
 	}
 	if st := cm.AnalysisStats(); st.Funcs > 0 {
-		fmt.Fprintf(os.Stderr, "analysis: %d bounds checks and %d loop polls elided, %d/%d functions read-only\n",
-			st.BoundsProven, st.PollsElided, st.ReadOnly, st.Funcs)
+		fmt.Fprintf(os.Stderr, "analysis: %d/%d functions read-only\n", st.ReadOnly, st.Funcs)
 	}
 	if pool != nil {
 		st := pool.Stats()

@@ -1,35 +1,15 @@
-// Package analysis is wizgo's static-analysis engine. It runs once per
-// module, after validation and before any tier compiles, and attaches a
-// validate.Facts record to each function's FuncInfo. Every executor —
-// the in-place interpreter, the rewriting interpreter, the single-pass
-// compiler's MachCode and the copy-and-patch tier — consults the same
-// facts, so a check eliminated here is eliminated everywhere.
+// Package analysis is wizgo's static-analysis pass. It runs once per
+// module, after validation and before any tier compiles, and derives
+// one fact per function: writes-memory. A syntactic per-function scan
+// plus a call-graph fixpoint marks functions that cannot modify linear
+// memory (nor reach one that can) as validate.FuncInfo.ReadOnly. The
+// instance pool skips memory reset after invoking only read-only
+// exports.
 //
-// Three kinds of facts are computed:
-//
-//   - In-bounds memory accesses. A forward abstract interpretation over
-//     unsigned 32-bit intervals tracks i32 locals and the operand
-//     stack; a load/store whose effective address interval satisfies
-//     hi + offset + size ≤ minPages*65536 can never trap, because
-//     linking rejects imported memories below the declared minimum and
-//     memory.grow never shrinks. Executors skip the bounds check at
-//     those pcs.
-//
-//   - Provably terminating counted loops. The workhorse loop idiom
-//     (local.get L; i32.const s; i32.add; local.tee L; i32.const N;
-//     i32.lt; br_if header) with a sole back edge and a bounded trip
-//     count cannot run unboundedly, so executors skip the interrupt
-//     poll on its back edge. Deopt (OSR invalidation) and fuel
-//     accounting are NOT elided — only the poll.
-//
-//   - Writes-memory. A syntactic per-function scan plus a call-graph
-//     fixpoint marks functions that cannot modify linear memory (nor
-//     reach one that can). The instance pool skips memory reset after
-//     invoking only read-only exports.
-//
-// Soundness escape hatch: building with `-tags checked` keeps every
-// elided check as an assertion (see rt.Checked); the differential CI
-// job runs all workloads under that tag with analysis on and off.
+// It deliberately proves nothing that would let an executor drop a
+// bounds check, an interrupt poll or a fuel charge: the repository
+// benchmark showed no exec_ms.* figure moving with such facts on any
+// workload (README, "Static analysis").
 package analysis
 
 import (
@@ -41,72 +21,45 @@ import (
 // the disk-cache fingerprint and compiler revision: bump it whenever
 // the meaning or encoding of facts changes so stale artifacts are
 // discarded rather than misread.
-const Version = "a2"
-
-// maxNoPollTrips caps the trip count of loops whose back-edge interrupt
-// poll may be elided. 2^16 short iterations is far below any plausible
-// interrupt latency budget while covering every inner loop of the
-// benchmark suites.
-const maxNoPollTrips = 1 << 16
+const Version = "a3"
 
 // Stats summarizes one module's analysis, for telemetry counters and
 // the benchmark harness.
 type Stats struct {
-	Funcs        int // functions analyzed
-	BoundsProven int // load/store sites proven in bounds
-	PollsElided  int // loops whose back-edge poll is elided
+	Funcs int // functions analyzed
+	// BoundsProven and PollsElided are always zero: the facts they
+	// counted are gone, the fields stay because bench/ reads them.
+	BoundsProven int
+	PollsElided  int
 	ReadOnly     int // functions proven not to write memory
 }
 
-// Module analyzes every function body of a validated module and attaches
-// a Facts record to each infos[i]. infos must be the validator's output
-// for m (len(infos) == len(m.Funcs)). The analysis is pure: it never
-// fails — a function it cannot reason about simply gets conservative
-// facts (everything checked, WritesMemory true).
+// Module scans every function body of a validated module and sets
+// infos[i].ReadOnly. infos must be the validator's output for m
+// (len(infos) == len(m.Funcs)). The analysis is pure: it never fails —
+// a function it cannot reason about is simply left a writer.
 func Module(m *wasm.Module, infos []validate.FuncInfo) Stats {
-	var st Stats
 	if len(infos) != len(m.Funcs) {
-		return st
+		return Stats{}
 	}
-	pres := make([]*preInfo, len(m.Funcs))
+	pres := make([]preInfo, len(m.Funcs))
 	for i := range m.Funcs {
 		pres[i] = prescan(&m.Funcs[i])
 	}
-	writes := propagateWrites(m, pres)
-
-	memBytes := uint64(m.MemoryMinPages()) * wasm.PageSize
-	for i := range m.Funcs {
-		facts := analyzeFunc(m, &m.Funcs[i], &infos[i], pres[i], memBytes)
-		if facts == nil {
-			facts = &validate.Facts{WritesMemory: true}
-		}
-		facts.WritesMemory = writes[i]
-		infos[i].Facts = facts
-		st.Funcs++
-		st.BoundsProven += facts.BoundsProven
-		st.PollsElided += facts.PollsElided
-		if !facts.WritesMemory {
-			st.ReadOnly++
-		}
+	for i, w := range propagateWrites(m, pres) {
+		infos[i].ReadOnly = !w
 	}
-	return st
+	return StatsFromInfos(infos)
 }
 
-// StatsFromInfos recomputes the module summary from facts already
-// attached to infos — the artifact-rehydration path, where facts are
-// deserialized rather than derived, but telemetry and the benchmark
-// harness still want the same numbers a fresh compile reports.
+// StatsFromInfos computes the module summary from the bits already
+// attached to infos — shared with the artifact-rehydration path, where
+// the bits are deserialized rather than derived, so warm and cold
+// processes report the same numbers.
 func StatsFromInfos(infos []validate.FuncInfo) Stats {
-	var st Stats
+	st := Stats{Funcs: len(infos)}
 	for i := range infos {
-		f := infos[i].Facts
-		if f == nil {
-			continue
-		}
-		st.Funcs++
-		st.BoundsProven += f.BoundsProven
-		st.PollsElided += f.PollsElided
-		if !f.WritesMemory {
+		if infos[i].ReadOnly {
 			st.ReadOnly++
 		}
 	}
@@ -117,14 +70,10 @@ func StatsFromInfos(infos []validate.FuncInfo) Stats {
 // can modify linear memory directly or through any reachable callee.
 // Imported functions and call_indirect targets are conservatively
 // assumed to write.
-func propagateWrites(m *wasm.Module, pres []*preInfo) []bool {
+func propagateWrites(m *wasm.Module, pres []preInfo) []bool {
 	imported := m.NumImportedFuncs()
 	writes := make([]bool, len(pres))
 	for i, pre := range pres {
-		if pre == nil {
-			writes[i] = true
-			continue
-		}
 		writes[i] = pre.writes
 		for _, c := range pre.callees {
 			if int(c) < imported {
@@ -138,7 +87,7 @@ func propagateWrites(m *wasm.Module, pres []*preInfo) []bool {
 	for changed := true; changed; {
 		changed = false
 		for i, pre := range pres {
-			if writes[i] || pre == nil {
+			if writes[i] {
 				continue
 			}
 			for _, c := range pre.callees {
@@ -152,564 +101,4 @@ func propagateWrites(m *wasm.Module, pres []*preInfo) []bool {
 		}
 	}
 	return writes
-}
-
-// aframe is the abstract interpreter's control frame, mirroring the
-// validator's control stack.
-type aframe struct {
-	op     wasm.Opcode
-	height int // stack height at entry, params excluded
-	nIn    int
-	nOut   int
-	// unreach is true while the current straight-line code in this
-	// frame cannot execute (after br/return/unreachable).
-	unreach bool
-	// liveIn records whether the frame was entered in reachable code;
-	// an if's else arm is reachable iff the if was.
-	liveIn bool
-	// branched is set when a reachable forward branch targets this
-	// frame; merged then holds the local-interval hull at those
-	// branch sites.
-	branched bool
-	merged   []iv
-	// saved holds the locals at if entry for the else arm / the
-	// implicit false edge of if-without-else.
-	saved   []iv
-	hasElse bool
-}
-
-// analyzeFunc runs the interval abstract interpretation over one body
-// and returns its facts, or nil when the walk hits anything unexpected
-// (the caller substitutes conservative facts). One forward pass is
-// sound: loop entry havocs every local the body can modify (except a
-// recognized induction variable, which gets its proven invariant
-// interval), so the state at the header already covers all iterations.
-func analyzeFunc(m *wasm.Module, f *wasm.Func, info *validate.FuncInfo, pre *preInfo, memBytes uint64) *validate.Facts {
-	if pre == nil {
-		return nil
-	}
-	facts := validate.NewFacts(len(f.Body))
-	// Fuel-prepay candidates are collected during the walk and resolved
-	// after it: the loop-entry decision needs the in-bounds facts of the
-	// loop body, which the forward pass has not visited yet.
-	type prepayCand struct {
-		li    *loopInfo
-		trips int64
-	}
-	var prepays []prepayCand
-	nLocals := len(info.LocalTypes)
-	locals := make([]iv, nLocals)
-	for i := range locals {
-		if i >= info.NumParams && info.LocalTypes[i] == wasm.I32 {
-			locals[i] = iv{0, 0} // declared locals are zero-initialized
-		} else {
-			locals[i] = top
-		}
-	}
-	stk := make([]iv, 0, 16)
-	frames := make([]aframe, 1, 8)
-	frames[0] = aframe{op: wasm.OpBlock, nOut: len(info.Results), liveIn: true}
-
-	imported := m.NumImportedGlobals()
-	bad := false // set on any mirror inconsistency; discards all facts
-	pop := func() iv {
-		if len(stk) == 0 {
-			bad = true
-			return top
-		}
-		v := stk[len(stk)-1]
-		stk = stk[:len(stk)-1]
-		return v
-	}
-	popN := func(n int) {
-		if len(stk) < n {
-			bad = true
-			stk = stk[:0]
-			return
-		}
-		stk = stk[:len(stk)-n]
-	}
-	push := func(v iv) { stk = append(stk, v) }
-	pushN := func(n int) {
-		for i := 0; i < n; i++ {
-			push(top)
-		}
-	}
-	mergeInto := func(fr *aframe) {
-		if fr.op == wasm.OpLoop {
-			return // back edge: header state is already the invariant
-		}
-		if !fr.branched {
-			fr.branched = true
-			fr.merged = append([]iv(nil), locals...)
-			return
-		}
-		for i := range fr.merged {
-			fr.merged[i] = hull(fr.merged[i], locals[i])
-		}
-	}
-	branchTo := func(d uint32) {
-		t := len(frames) - 1 - int(d)
-		if t < 0 {
-			bad = true
-			return
-		}
-		mergeInto(&frames[t])
-	}
-	blockArity := func(bt int64) (in, out int) {
-		if bt >= 0 {
-			if int(bt) < len(m.Types) {
-				t := m.Types[bt]
-				return len(t.Params), len(t.Results)
-			}
-			bad = true
-			return 0, 0
-		}
-		if bt == -64 {
-			return 0, 0
-		}
-		return 0, 1
-	}
-
-	r := wasm.NewReader(f.Body)
-	for r.Len() > 0 && len(frames) > 0 && !bad {
-		pc := r.Pos
-		op, err := r.ReadOpcode()
-		if err != nil {
-			return nil
-		}
-		cur := &frames[len(frames)-1]
-
-		if cur.unreach {
-			// Track control structure only; validation already proved
-			// this code well-formed and it can never execute.
-			switch op {
-			case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-				bt, err := r.S33()
-				if err != nil {
-					return nil
-				}
-				in, out := blockArity(bt)
-				frames = append(frames, aframe{op: op, height: len(stk), nIn: in, nOut: out, unreach: true})
-			case wasm.OpElse:
-				cur.hasElse = true
-				if cur.liveIn {
-					// The else arm is reachable through the if's
-					// false edge even though the then arm died.
-					copy(locals, cur.saved)
-					stk = stk[:cur.height]
-					pushN(cur.nIn)
-					cur.unreach = false
-				}
-			case wasm.OpEnd:
-				closeFrame(&frames, &stk, &locals, pushN)
-			default:
-				if err := r.SkipImm(op); err != nil {
-					return nil
-				}
-			}
-			continue
-		}
-
-		switch op {
-		case wasm.OpNop:
-		case wasm.OpUnreachable:
-			cur.unreach = true
-		case wasm.OpBlock:
-			bt, err := r.S33()
-			if err != nil {
-				return nil
-			}
-			in, out := blockArity(bt)
-			h := len(stk) - in
-			if h < 0 {
-				bad = true
-				h = 0
-			}
-			frames = append(frames, aframe{op: op, height: h, nIn: in, nOut: out, liveIn: true})
-		case wasm.OpIf:
-			bt, err := r.S33()
-			if err != nil {
-				return nil
-			}
-			pop() // condition
-			in, out := blockArity(bt)
-			h := len(stk) - in
-			if h < 0 {
-				bad = true
-				h = 0
-			}
-			frames = append(frames, aframe{
-				op: op, height: h, nIn: in, nOut: out,
-				liveIn: true, saved: append([]iv(nil), locals...),
-			})
-		case wasm.OpLoop:
-			bt, err := r.S33()
-			if err != nil {
-				return nil
-			}
-			in, out := blockArity(bt)
-			if len(stk) < in {
-				bad = true
-				break
-			}
-			// Loop-carried stack params are unknown.
-			for j := len(stk) - in; j < len(stk); j++ {
-				stk[j] = top
-			}
-			li := pre.loops[pc]
-			if li == nil {
-				return nil // prescan and interval walk disagree on structure
-			}
-			entry := top
-			if int(li.indVar) < nLocals {
-				entry = locals[li.indVar]
-			}
-			for idx := range li.modified {
-				if int(idx) < nLocals {
-					locals[idx] = top
-				}
-			}
-			if li.eligible() && int(li.indVar) < nLocals &&
-				li.step >= 1 && li.bound >= 1 && li.bound < 1<<31 &&
-				entry.hi < 1<<31 {
-				// Induction invariant at any point in or after the
-				// loop: L started at entry ∈ [a0.lo, a0.hi]; every
-				// back edge passes the guard L' < bound, so the
-				// header value is < bound after the first iteration
-				// and one increment never exceeds
-				// max(a0.hi, bound-1) + step. All quantities stay
-				// below 2^31, so the signed guard agrees with this
-				// unsigned interval.
-				hi := uint64(li.bound - 1)
-				if entry.hi > hi {
-					hi = entry.hi
-				}
-				hi += uint64(li.step)
-				if hi < 1<<31 {
-					locals[li.indVar] = iv{entry.lo, hi}
-					if !li.hasCall && !li.hasInnerLoop {
-						trips := uint64(1)
-						if entry.lo < uint64(li.bound) {
-							trips += (uint64(li.bound) - entry.lo) / uint64(li.step)
-						}
-						if trips <= maxNoPollTrips {
-							facts.SetNoPoll(li.backEdgePC)
-							facts.SetNoPoll(li.bodyPC)
-							facts.PollsElided++
-						}
-						// Fuel prepayment needs the EXACT header-execution
-						// count, not an upper bound: a point entry value,
-						// no early exits, and no instruction that could
-						// trap mid-loop. The loop is do-while shaped
-						// (body, increment, guard), so it runs once even
-						// when the entry value already meets the bound.
-						if entry.lo == entry.hi && !li.escape && !li.hasTrapOp {
-							exact := uint64(1)
-							if entry.lo < uint64(li.bound) {
-								exact = (uint64(li.bound) - entry.lo + uint64(li.step) - 1) / uint64(li.step)
-							}
-							if exact <= maxNoPollTrips {
-								prepays = append(prepays, prepayCand{li: li, trips: int64(exact)})
-							}
-						}
-					}
-				}
-			}
-			frames = append(frames, aframe{op: op, height: len(stk) - in, nIn: in, nOut: out, liveIn: true})
-		case wasm.OpElse:
-			cur.hasElse = true
-			mergeInto(cur) // then-arm fall-through joins at end
-			copy(locals, cur.saved)
-			stk = stk[:cur.height]
-			pushN(cur.nIn)
-		case wasm.OpEnd:
-			closeFrame(&frames, &stk, &locals, pushN)
-		case wasm.OpBr:
-			d, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			branchTo(d)
-			cur.unreach = true
-		case wasm.OpBrIf:
-			d, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			pop()
-			branchTo(d)
-		case wasm.OpBrTable:
-			n, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			pop()
-			for i := uint32(0); i <= n; i++ {
-				d, err := r.U32()
-				if err != nil {
-					return nil
-				}
-				branchTo(d)
-			}
-			cur.unreach = true
-		case wasm.OpReturn:
-			cur.unreach = true
-		case wasm.OpCall:
-			idx, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			ft, err2 := m.FuncTypeAt(idx)
-			if err2 != nil {
-				return nil
-			}
-			popN(len(ft.Params))
-			pushN(len(ft.Results))
-		case wasm.OpCallIndirect:
-			ti, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			if _, err := r.U32(); err != nil {
-				return nil
-			}
-			if int(ti) >= len(m.Types) {
-				return nil
-			}
-			pop() // table index
-			popN(len(m.Types[ti].Params))
-			pushN(len(m.Types[ti].Results))
-		case wasm.OpDrop:
-			pop()
-		case wasm.OpSelect:
-			pop() // condition
-			b := pop()
-			a := pop()
-			push(hull(a, b))
-		case wasm.OpSelectT:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			pop()
-			b := pop()
-			a := pop()
-			push(hull(a, b))
-		case wasm.OpLocalGet:
-			idx, err := r.U32()
-			if err != nil || int(idx) >= nLocals {
-				return nil
-			}
-			push(locals[idx])
-		case wasm.OpLocalSet:
-			idx, err := r.U32()
-			if err != nil || int(idx) >= nLocals {
-				return nil
-			}
-			locals[idx] = pop()
-		case wasm.OpLocalTee:
-			idx, err := r.U32()
-			if err != nil || int(idx) >= nLocals {
-				return nil
-			}
-			if len(stk) == 0 {
-				bad = true
-				break
-			}
-			locals[idx] = stk[len(stk)-1]
-		case wasm.OpGlobalGet:
-			idx, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			v := top
-			if li := int(idx) - imported; li >= 0 && li < len(m.Globals) {
-				if g := m.Globals[li]; !g.Mutable && g.Type == wasm.I32 {
-					v = constIv(uint64(uint32(g.Init.I32())))
-				}
-			}
-			push(v)
-		case wasm.OpGlobalSet:
-			if _, err := r.U32(); err != nil {
-				return nil
-			}
-			pop()
-		case wasm.OpI32Const:
-			v, err := r.S32()
-			if err != nil {
-				return nil
-			}
-			push(constIv(uint64(uint32(v))))
-		case wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			push(top)
-		case wasm.OpMemorySize:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			push(iv{memBytes / wasm.PageSize, wasm.MaxPages})
-		case wasm.OpMemoryGrow:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			pop()
-			push(top)
-		case wasm.OpI32Add:
-			b, a := pop(), pop()
-			push(addIv(a, b))
-		case wasm.OpI32Sub:
-			b, a := pop(), pop()
-			push(subIv(a, b))
-		case wasm.OpI32Mul:
-			b, a := pop(), pop()
-			push(mulIv(a, b))
-		case wasm.OpI32And:
-			b, a := pop(), pop()
-			push(andIv(a, b))
-		case wasm.OpI32Or:
-			b, a := pop(), pop()
-			push(orIv(a, b))
-		case wasm.OpI32Xor:
-			b, a := pop(), pop()
-			push(xorIv(a, b))
-		case wasm.OpI32Shl:
-			b, a := pop(), pop()
-			push(shlIv(a, b))
-		case wasm.OpI32ShrU:
-			b, a := pop(), pop()
-			push(shrUIv(a, b))
-		case wasm.OpI32DivU:
-			b, a := pop(), pop()
-			push(divUIv(a, b))
-		case wasm.OpI32RemU:
-			b, a := pop(), pop()
-			push(remUIv(a, b))
-		case wasm.OpI32DivS:
-			b, a := pop(), pop()
-			push(divSIv(a, b))
-		case wasm.OpI32RemS:
-			b, a := pop(), pop()
-			push(remSIv(a, b))
-		case wasm.OpI32Eqz:
-			pop()
-			push(iv{0, 1})
-		case wasm.OpI32Clz, wasm.OpI32Ctz, wasm.OpI32Popcnt:
-			pop()
-			push(iv{0, 32})
-		default:
-			if size, isStore, ok := memAccess(op); ok {
-				if _, err := r.U32(); err != nil { // align
-					return nil
-				}
-				off, err := r.U32()
-				if err != nil {
-					return nil
-				}
-				if isStore {
-					pop() // value
-				}
-				addr := pop()
-				if memBytes > 0 && addr.hi+uint64(off)+uint64(size) <= memBytes {
-					facts.SetInBounds(pc)
-				}
-				if !isStore {
-					switch op {
-					case wasm.OpI32Load8U:
-						push(iv{0, 0xFF})
-					case wasm.OpI32Load16U:
-						push(iv{0, 0xFFFF})
-					default:
-						push(top)
-					}
-				}
-				break
-			}
-			// Everything else is signature-driven: pop the params,
-			// push unknown results. Comparisons land in [0,1] via
-			// their i32 result being top-truncated anyway; precision
-			// there buys nothing downstream.
-			params, results, ok := op.Sig()
-			if !ok {
-				return nil
-			}
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			popN(len(params))
-			pushN(len(results))
-		}
-	}
-	if bad {
-		return nil
-	}
-	// Resolve prepay candidates now that the body's in-bounds facts are
-	// complete: every plain memory access in the extent must be proven,
-	// or the loop could trap early and the prepaid charge would
-	// overcount relative to the per-iteration execution.
-	for _, cand := range prepays {
-		ok := true
-		for _, mpc := range cand.li.memPCs {
-			if !facts.InBoundsAt(mpc) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			facts.SetPrepaid(cand.li.backEdgePC, len(f.Body))
-			facts.SetTrips(cand.li.bodyPC, cand.trips)
-		}
-	}
-	return facts
-}
-
-// closeFrame handles an end opcode: pops the top control frame, joins
-// the locals over every edge that can reach the code after the end, and
-// rebuilds the stack to height+nOut.
-func closeFrame(frames *[]aframe, stk *[]iv, locals *[]iv, pushN func(int)) {
-	fs := *frames
-	fr := &fs[len(fs)-1]
-	fallthrough_ := !fr.unreach
-
-	// Join locals over the incoming edges.
-	if fr.branched {
-		if fallthrough_ {
-			for i := range fr.merged {
-				fr.merged[i] = hull(fr.merged[i], (*locals)[i])
-			}
-		}
-		copy(*locals, fr.merged)
-	}
-	ifNoElse := fr.op == wasm.OpIf && !fr.hasElse && fr.liveIn
-	if ifNoElse {
-		// The false edge skips the arm entirely.
-		for i := range *locals {
-			(*locals)[i] = hull((*locals)[i], fr.saved[i])
-		}
-	}
-
-	// Code after the end is reachable through fall-through, a forward
-	// branch, or an if's false edge. (Branches to a loop go backward,
-	// so a loop's end is reachable only by falling through.)
-	live := fallthrough_
-	if fr.op != wasm.OpLoop {
-		live = live || fr.branched || ifNoElse
-	}
-
-	// Rebuild the stack: keep precise fall-through results only when
-	// fall-through is the sole incoming edge.
-	keep := fallthrough_ && !fr.branched && !ifNoElse &&
-		len(*stk) == fr.height+fr.nOut
-	if !keep {
-		if len(*stk) > fr.height {
-			*stk = (*stk)[:fr.height]
-		}
-		pushN(fr.nOut)
-	}
-
-	*frames = fs[:len(fs)-1]
-	if len(*frames) > 0 && !live {
-		(*frames)[len(*frames)-1].unreach = true
-	}
 }

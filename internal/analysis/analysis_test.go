@@ -8,7 +8,7 @@ import (
 )
 
 // analyze builds, decodes, validates and analyzes a module, returning
-// the per-function facts.
+// the per-function infos with their read-only bits set.
 func analyze(t *testing.T, b *wasm.Builder) ([]validate.FuncInfo, Stats) {
 	t.Helper()
 	m, err := wasm.Decode(b.Encode())
@@ -23,123 +23,13 @@ func analyze(t *testing.T, b *wasm.Builder) ([]validate.FuncInfo, Stats) {
 	return infos, st
 }
 
-// countedLoopFunc emits the workloads ForI32 idiom: for (i = 0; i < n;
-// i++) { mem[i*8] = 7 }.
-func countedLoopFunc(b *wasm.Builder, n int32) {
-	f := b.NewFunc("_start", wasm.FuncType{})
-	i := f.AddLocal(wasm.I32)
-	f.I32Const(0).LocalSet(i)
-	f.Loop(wasm.BlockEmpty)
-	f.LocalGet(i).I32Const(8).Op(wasm.OpI32Mul)
-	f.I64Const(7)
-	f.Store(wasm.OpI64Store, 0)
-	f.LocalGet(i).I32Const(1).Op(wasm.OpI32Add).LocalTee(i)
-	f.I32Const(n).Op(wasm.OpI32LtS)
-	f.BrIf(0)
-	f.End()
-	f.End()
-}
-
-func TestCountedLoopFacts(t *testing.T) {
-	b := wasm.NewBuilder()
-	b.AddMemory(16, 16) // 1 MiB
-	countedLoopFunc(b, 100)
-	infos, st := analyze(t, b)
-
-	facts := infos[0].Facts
-	if facts == nil {
-		t.Fatal("no facts attached")
-	}
-	// i ∈ [0, 100], address = i*8 ∈ [0, 800], +8 ≤ 1 MiB.
-	if facts.BoundsProven != 1 {
-		t.Errorf("BoundsProven = %d, want 1", facts.BoundsProven)
-	}
-	// 100 trips, no calls, no inner loops: poll elided at the br_if
-	// back edge and at the loop checkpoint.
-	if facts.PollsElided == 0 {
-		t.Error("PollsElided = 0, want > 0")
-	}
-	if !facts.WritesMemory {
-		t.Error("WritesMemory = false for a function that stores")
-	}
-	if st.BoundsProven != 1 || st.PollsElided == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestUnboundedLoopGetsNoFacts(t *testing.T) {
-	b := wasm.NewBuilder()
-	b.AddMemory(16, 16)
-	// i*8 reaches 1.6 MB > 1 MiB, and 200000 trips exceed the no-poll
-	// cap: neither fact may be produced.
-	countedLoopFunc(b, 200000)
-	infos, _ := analyze(t, b)
-	facts := infos[0].Facts
-	if facts == nil {
-		t.Fatal("no facts attached")
-	}
-	if facts.BoundsProven != 0 {
-		t.Errorf("BoundsProven = %d, want 0 (address range exceeds memory)", facts.BoundsProven)
-	}
-	if facts.PollsElided != 0 {
-		t.Errorf("PollsElided = %d, want 0 (trip count exceeds cap)", facts.PollsElided)
-	}
-}
-
-func TestSecondInductionWriteBlocksFacts(t *testing.T) {
-	b := wasm.NewBuilder()
-	b.AddMemory(16, 16)
-	f := b.NewFunc("_start", wasm.FuncType{})
-	i := f.AddLocal(wasm.I32)
-	f.I32Const(0).LocalSet(i)
-	f.Loop(wasm.BlockEmpty)
-	// A second write to i inside the loop: the counted pattern no
-	// longer proves anything about its range.
-	f.LocalGet(i).I32Const(2).Op(wasm.OpI32Mul).LocalSet(i)
-	f.LocalGet(i).I32Const(1).Op(wasm.OpI32Add).LocalTee(i)
-	f.I32Const(100).Op(wasm.OpI32LtS)
-	f.BrIf(0)
-	f.End()
-	f.End()
-	infos, _ := analyze(t, b)
-	if got := infos[0].Facts.PollsElided; got != 0 {
-		t.Errorf("PollsElided = %d, want 0", got)
-	}
-}
-
-func TestIfElseJoin(t *testing.T) {
-	build := func(elseAddr int32) *wasm.Builder {
-		b := wasm.NewBuilder()
-		b.AddMemory(16, 16)
-		f := b.NewFunc("f", wasm.FuncType{Params: []wasm.ValueType{wasm.I32}})
-		l := f.AddLocal(wasm.I32)
-		f.LocalGet(0)
-		f.If(wasm.BlockEmpty)
-		f.I32Const(8).LocalSet(l)
-		f.Else()
-		f.I32Const(elseAddr).LocalSet(l)
-		f.End()
-		f.LocalGet(l)
-		f.I64Const(0)
-		f.Store(wasm.OpI64Store, 0)
-		f.End()
-		return b
-	}
-
-	infos, _ := analyze(t, build(16))
-	if got := infos[0].Facts.BoundsProven; got != 1 {
-		t.Errorf("join of [8,8] and [16,16]: BoundsProven = %d, want 1", got)
-	}
-	infos, _ = analyze(t, build(0x7FFFFFF0))
-	if got := infos[0].Facts.BoundsProven; got != 0 {
-		t.Errorf("join with huge else arm: BoundsProven = %d, want 0", got)
-	}
-}
-
 func TestWritesMemoryPropagation(t *testing.T) {
 	b := wasm.NewBuilder()
-	b.AddMemory(1, 1)
 	ft := wasm.FuncType{}
+	host := b.ImportFunc("env", "host", ft)
+	b.AddMemory(1, 1)
+	b.AddTable(1)
+	ti := b.AddType(ft)
 
 	reader := b.NewFunc("reader", ft) // loads only
 	reader.I32Const(0)
@@ -160,18 +50,46 @@ func TestWritesMemoryPropagation(t *testing.T) {
 	indirect.Call(writer.Idx)
 	indirect.End()
 
+	// Writers by construction rather than by store: an import has
+	// unknown effects, a call_indirect an unknown callee, and grow /
+	// fill / copy change memory without a store opcode.
+	hostCaller := b.NewFunc("hostCaller", ft)
+	hostCaller.Call(host)
+	hostCaller.End()
+
+	tableCaller := b.NewFunc("tableCaller", ft)
+	tableCaller.I32Const(0).CallIndirect(ti)
+	tableCaller.End()
+
+	grower := b.NewFunc("grower", ft)
+	grower.I32Const(0).MemoryGrow().Op(wasm.OpDrop)
+	grower.End()
+
+	filler := b.NewFunc("filler", ft)
+	filler.I32Const(0).I32Const(0).I32Const(0).MemoryFill()
+	filler.End()
+
+	copier := b.NewFunc("copier", ft)
+	copier.I32Const(0).I32Const(0).I32Const(0).MemoryCopy()
+	copier.End()
+
 	infos, st := analyze(t, b)
-	want := []bool{false, false, true, true}
+	want := []bool{true, true, false, false, false, false, false, false, false}
 	for i, w := range want {
-		if infos[i].Facts.WritesMemory != w {
-			t.Errorf("func %d: WritesMemory = %v, want %v", i, infos[i].Facts.WritesMemory, w)
+		if infos[i].ReadOnly != w {
+			t.Errorf("func %d: ReadOnly = %v, want %v", i, infos[i].ReadOnly, w)
 		}
 	}
-	if st.ReadOnly != 2 {
-		t.Errorf("ReadOnly = %d, want 2", st.ReadOnly)
+	if st.ReadOnly != 2 || st.Funcs != len(want) {
+		t.Errorf("stats = %+v, want 2 read-only of %d", st, len(want))
+	}
+	if st != StatsFromInfos(infos) {
+		t.Errorf("Module stats %+v differ from StatsFromInfos %+v", st, StatsFromInfos(infos))
 	}
 }
 
+// TestNoMemoryModule: a pure-local loop in a module without a memory is
+// read-only, and nothing else is reported about it.
 func TestNoMemoryModule(t *testing.T) {
 	b := wasm.NewBuilder()
 	f := b.NewFunc("f", wasm.FuncType{})
@@ -183,18 +101,32 @@ func TestNoMemoryModule(t *testing.T) {
 	f.BrIf(0)
 	f.End()
 	f.End()
-	infos, _ := analyze(t, b)
-	facts := infos[0].Facts
-	if facts == nil {
-		t.Fatal("no facts attached")
+	infos, st := analyze(t, b)
+	if !infos[0].ReadOnly {
+		t.Error("ReadOnly = false for a pure-local function")
 	}
-	if facts.BoundsProven != 0 {
-		t.Errorf("BoundsProven = %d, want 0 without a memory", facts.BoundsProven)
+	if st.BoundsProven != 0 || st.PollsElided != 0 {
+		t.Errorf("stats = %+v: BoundsProven and PollsElided must stay zero", st)
 	}
-	if facts.PollsElided == 0 {
-		t.Error("PollsElided = 0: counted loop should still be recognized")
+}
+
+// TestZeroValueIsConservative: a FuncInfo the analysis never saw (length
+// mismatch leaves infos untouched) must read as a writer.
+func TestZeroValueIsConservative(t *testing.T) {
+	b := wasm.NewBuilder()
+	f := b.NewFunc("f", wasm.FuncType{})
+	f.End()
+	m, err := wasm.Decode(b.Encode())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if facts.WritesMemory {
-		t.Error("WritesMemory = true for a pure-local function")
+	infos := make([]validate.FuncInfo, 2) // wrong length
+	if st := Module(m, infos); st != (Stats{}) {
+		t.Errorf("stats = %+v on mismatched infos, want zero", st)
+	}
+	for i := range infos {
+		if infos[i].ReadOnly {
+			t.Errorf("infos[%d].ReadOnly set on a function that was never analyzed", i)
+		}
 	}
 }

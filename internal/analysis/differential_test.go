@@ -12,44 +12,35 @@ import (
 	"wizgo/internal/workloads"
 )
 
-// The differential soundness suite: every fact the analysis derives
-// licenses removing a dynamic check somewhere, so the strongest
-// evidence of soundness is that execution with analysis on and off is
-// observably identical — same results, same traps, same final memory —
-// across every engine configuration. Built with `-tags checked` the
-// same tests additionally execute the elided checks as assertions (see
-// rt.Checked), turning any unsound fact into a panic instead of a
-// silent divergence.
+// The differential suite for the one fact the analysis derives. A
+// read-only proof licenses exactly one thing — Instance.Reset skipping
+// the memory restore — so the evidence of soundness is that a workload
+// run on a reset instance is observably identical to its run on the
+// fresh one, under every catalog configuration. The generated-module
+// oracle (internal/difftest) makes the same check per seed; this one
+// makes it on the benchmark suites' real modules.
 
 // outcome is everything a guest run can observe.
 type outcome struct {
 	checksum int64
 	trapKind rt.TrapKind
 	trapped  bool
-	err      string
 	memory   []byte
 }
 
-// runModule executes a module's _start under cfg and captures the
-// outcome. A non-trap error fails the test (it would indicate a broken
-// harness, not a divergence).
-func runModule(t *testing.T, cfg engine.Config, module []byte) outcome {
+// run executes _start (and, when it returns, checksum) on inst and
+// captures the outcome. A non-trap error fails the test (it would
+// indicate a broken harness, not a divergence).
+func run(t *testing.T, name string, inst *engine.Instance) outcome {
 	t.Helper()
 	var o outcome
-	inst, err := engine.New(cfg, nil).Instantiate(module)
-	if err != nil {
-		t.Fatalf("%s: instantiate: %v", cfg.Name, err)
-	}
-	defer inst.Release()
-	_, err = inst.Call("_start")
-	if err != nil {
+	if _, err := inst.Call("_start"); err != nil {
 		var trap *rt.Trap
 		if !errors.As(err, &trap) {
-			t.Fatalf("%s: non-trap error: %v", cfg.Name, err)
+			t.Fatalf("%s: non-trap error: %v", name, err)
 		}
 		o.trapped = true
 		o.trapKind = trap.Kind
-		o.err = err.Error()
 	} else if sum, err := inst.Call("checksum"); err == nil && len(sum) == 1 {
 		o.checksum = sum[0].I64()
 	}
@@ -57,21 +48,18 @@ func runModule(t *testing.T, cfg engine.Config, module []byte) outcome {
 	return o
 }
 
-// assertSame compares the analysis-on and analysis-off outcomes of one
-// module under one engine configuration.
-func assertSame(t *testing.T, name string, on, off outcome) {
+func assertSame(t *testing.T, name string, a, b outcome) {
 	t.Helper()
-	if on.trapped != off.trapped || on.trapKind != off.trapKind {
-		t.Errorf("%s: trap divergence: analysis on = (%v, %v), off = (%v, %v)",
-			name, on.trapped, on.trapKind, off.trapped, off.trapKind)
+	if a.trapped != b.trapped || a.trapKind != b.trapKind {
+		t.Errorf("%s: trap divergence: (%v, %v) vs (%v, %v)",
+			name, a.trapped, a.trapKind, b.trapped, b.trapKind)
 	}
-	if on.checksum != off.checksum {
-		t.Errorf("%s: checksum divergence: analysis on = %d, off = %d",
-			name, on.checksum, off.checksum)
+	if a.checksum != b.checksum {
+		t.Errorf("%s: checksum divergence: %d vs %d", name, a.checksum, b.checksum)
 	}
-	if !bytes.Equal(on.memory, off.memory) {
+	if !bytes.Equal(a.memory, b.memory) {
 		t.Errorf("%s: final linear memory diverges (%d vs %d bytes)",
-			name, len(on.memory), len(off.memory))
+			name, len(a.memory), len(b.memory))
 	}
 }
 
@@ -95,37 +83,59 @@ func differentialModules(t *testing.T) []workloads.Item {
 }
 
 // TestDifferentialWorkloads runs generated benchmark modules through
-// every catalog configuration with the static analysis enabled and
-// disabled, asserting identical observable behavior.
+// every catalog configuration on a fresh instance, resets it the way
+// the instance pool does, runs again, and asserts identical observable
+// behavior.
 func TestDifferentialWorkloads(t *testing.T) {
 	items := differentialModules(t)
-	for _, base := range engines.Catalog() {
-		base := base
-		t.Run(base.Name, func(t *testing.T) {
+	for _, cfg := range engines.Catalog() {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
+			e := engine.New(cfg, nil)
 			for _, item := range items {
-				on := base
-				on.NoAnalysis = false
-				off := base
-				off.NoAnalysis = true
-				name := base.Name + "/" + item.Suite + "/" + item.Name
-				assertSame(t, name,
-					runModule(t, on, item.Bytes),
-					runModule(t, off, item.Bytes))
+				name := cfg.Name + "/" + item.Suite + "/" + item.Name
+				inst, err := e.Instantiate(item.Bytes)
+				if err != nil {
+					t.Fatalf("%s: instantiate: %v", name, err)
+				}
+				snap := inst.Snapshot()
+				inst.RT.Memory.EnableWriteTracking()
+				fresh := run(t, name, inst)
+				reset := func() {
+					if err := inst.Reset(snap); err != nil {
+						t.Fatalf("%s: reset: %v", name, err)
+					}
+				}
+				// _start wrote, so this reset is a real restore.
+				reset()
+				assertSame(t, name+" (after reset)", fresh, run(t, name, inst))
+				// Only a proven read-only call between two resets: the
+				// second may skip the restore, and the memory must still
+				// be the snapshot's when _start runs next.
+				reset()
+				if _, err := inst.Call("checksum"); err != nil {
+					t.Fatalf("%s: checksum on a reset instance: %v", name, err)
+				}
+				if inst.RT.MemTouched {
+					t.Errorf("%s: checksum is not proven read-only; no reset is ever skipped here", name)
+				}
+				reset()
+				assertSame(t, name+" (after skipped reset)", fresh, run(t, name, inst))
+				inst.Release()
 			}
 		})
 	}
 }
 
-// trapModules builds modules that definitely trap, exercising the
-// boundary the analysis must never move: elided checks may only be
-// those that provably cannot fire.
+// trapModules builds modules that definitely trap at the boundary no
+// executor may move: a counted loop is exactly the shape whose bounds
+// check and back-edge poll a compiler is tempted to drop.
 func trapModules() map[string][]byte {
 	mods := map[string][]byte{}
 
 	// A counted loop whose stores start in bounds and walk off the end
-	// of memory: the analysis must keep the bounds check (the address
-	// interval exceeds minPages) and the trap must surface identically.
+	// of memory: the trap must surface identically in every tier.
 	b := wasm.NewBuilder()
 	b.AddMemory(1, 1)
 	f := b.NewFunc("_start", wasm.FuncType{})
@@ -139,8 +149,7 @@ func trapModules() map[string][]byte {
 	b.Export("_start", f.Idx)
 	mods["oob-walk"] = b.Encode()
 
-	// An in-bounds counted loop that ends in unreachable: poll elision
-	// must not change which trap fires.
+	// An in-bounds counted loop that ends in unreachable.
 	b = wasm.NewBuilder()
 	b.AddMemory(1, 1)
 	f = b.NewFunc("_start", wasm.FuncType{})
@@ -158,49 +167,60 @@ func trapModules() map[string][]byte {
 	return mods
 }
 
-// TestDifferentialTraps asserts trapping modules trap identically (same
-// kind) with analysis on and off under every configuration.
+// TestDifferentialTraps asserts trapping modules trap with the expected
+// kind under every configuration, and leave the same memory behind as
+// the in-place interpreter.
 func TestDifferentialTraps(t *testing.T) {
 	mods := trapModules()
-	for _, base := range engines.Catalog() {
-		base := base
-		t.Run(base.Name, func(t *testing.T) {
+	want := map[string]rt.TrapKind{
+		"oob-walk":              rt.TrapOOBMemory,
+		"loop-then-unreachable": rt.TrapUnreachable,
+	}
+	runFresh := func(t *testing.T, cfg engine.Config, name string, module []byte) outcome {
+		inst, err := engine.New(cfg, nil).Instantiate(module)
+		if err != nil {
+			t.Fatalf("%s: instantiate: %v", name, err)
+		}
+		defer inst.Release()
+		return run(t, name, inst)
+	}
+	ref := map[string]outcome{}
+	for name, module := range mods {
+		ref[name] = runFresh(t, engines.WizardINT(), "reference/"+name, module)
+	}
+	for _, cfg := range engines.Catalog() {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
 			for name, module := range mods {
-				on := base
-				on.NoAnalysis = false
-				off := base
-				off.NoAnalysis = true
-				onOut := runModule(t, on, module)
-				offOut := runModule(t, off, module)
-				assertSame(t, base.Name+"/"+name, onOut, offOut)
-				if name == "oob-walk" && (!onOut.trapped || onOut.trapKind != rt.TrapOOBMemory) {
-					t.Errorf("%s: oob-walk should trap OOB, got %+v", base.Name, onOut)
+				full := cfg.Name + "/" + name
+				got := runFresh(t, cfg, full, module)
+				if !got.trapped || got.trapKind != want[name] {
+					t.Errorf("%s: want trap %v, got trapped=%v kind=%v", full, want[name], got.trapped, got.trapKind)
 				}
-				if name == "loop-then-unreachable" && (!onOut.trapped || onOut.trapKind != rt.TrapUnreachable) {
-					t.Errorf("%s: loop-then-unreachable should trap unreachable, got %+v", base.Name, onOut)
-				}
+				assertSame(t, full, ref[name], got)
 			}
 		})
 	}
 }
 
 // TestAnalysisProducesFacts guards against the differential suite
-// passing vacuously: the workloads must actually exercise elided
-// checks, not compare two identical all-checks configurations.
+// passing vacuously: the workloads must actually carry functions proven
+// read-only (so some reset is skipped) next to functions that write.
 func TestAnalysisProducesFacts(t *testing.T) {
 	e := engine.New(engines.WizardSPC(), nil)
-	var elided int
+	var readOnly, funcs int
 	for _, item := range differentialModules(t) {
 		cm, err := e.Compile(item.Bytes)
 		if err != nil {
 			t.Fatalf("%s: %v", item.Name, err)
 		}
 		st := cm.AnalysisStats()
-		elided += st.BoundsProven + st.PollsElided
+		readOnly += st.ReadOnly
+		funcs += st.Funcs
 	}
-	if elided == 0 {
-		t.Fatal("no checks elided across the differential corpus; the suite is comparing identical configurations")
+	if readOnly == 0 || readOnly == funcs {
+		t.Fatalf("differential corpus has %d read-only of %d functions; the suite needs both kinds", readOnly, funcs)
 	}
-	t.Logf("differential corpus elides %d checks", elided)
+	t.Logf("differential corpus: %d of %d functions proven read-only", readOnly, funcs)
 }

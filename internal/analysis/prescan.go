@@ -2,300 +2,55 @@ package analysis
 
 import "wizgo/internal/wasm"
 
-// loopInfo is the syntactic summary of one loop construct, collected by
-// the prescan before the interval pass runs. The interval pass uses it
-// to havoc exactly the locals the loop body can modify, and — when the
-// loop matches the counted idiom — to assign the induction variable a
-// finite interval instead of havocking it.
-type loopInfo struct {
-	headerPC int // pc of the loop opcode
-	bodyPC   int // pc of the first instruction after the block type
-	endPC    int // pc of the matching end
-
-	// modified counts local.set/local.tee sites per local index within
-	// the loop extent (inner loops included).
-	modified map[uint32]int
-	// backEdges counts branches (br, br_if, br_table arms) targeting
-	// this loop's header.
-	backEdges    int
-	hasCall      bool
-	hasInnerLoop bool
-
-	// Counted-loop recognition: the sole back edge is a trailing
-	//   local.get L; i32.const step; i32.add; local.tee L;
-	//   i32.const bound; i32.lt_s|lt_u; br_if <header>
-	// sequence. With L modified nowhere else in the extent, L increases
-	// by step each iteration and every back edge is guarded by
-	// L' < bound, so the loop terminates and L stays in a computable
-	// interval (see analyzeFunc).
-	counted    bool
-	indVar     uint32
-	step       int64
-	bound      int64
-	backEdgePC int // pc of the recognized br_if
-
-	// Fuel-prepayment screening. escape is set when the extent contains
-	// a way out of the loop other than the recognized guard failing: a
-	// branch past the loop frame, a return, or unreachable. hasTrapOp is
-	// set for instructions that can trap regardless of proven bounds
-	// (div/rem, non-saturating float→int truncation, unreachable,
-	// memory.copy/fill). memPCs lists plain load/store pcs in the
-	// extent; prepayment additionally requires each proven in bounds,
-	// so the proven trip count is exact — the loop cannot end early.
-	escape    bool
-	hasTrapOp bool
-	memPCs    []int
-}
-
-// eligible reports whether the counted-loop facts may be used: the
-// recognized br_if must be the only way back to the header and the
-// induction variable must be written exactly once (the tee) in the
-// whole extent.
-func (li *loopInfo) eligible() bool {
-	return li.counted && li.backEdges == 1 && li.modified[li.indVar] == 1
-}
-
 // preInfo is the per-function prescan result.
 type preInfo struct {
-	loops   map[int]*loopInfo // keyed by headerPC
-	callees []uint32          // direct call targets (function index space)
+	callees []uint32 // direct call targets (function index space)
 	// writes is true when the body itself can modify linear memory:
 	// stores, memory.fill/copy/grow, or call_indirect (unknown callee).
 	writes bool
 }
 
-// winEntry is one slot of the sliding instruction window used to match
-// the counted-loop back-edge pattern.
-type winEntry struct {
-	pc  int
-	op  wasm.Opcode
-	arg int64 // const value or local index, depending on op
-}
-
-// prescan walks a validated body once, collecting loop extents, modified
-// locals, call sites and the memory-write flag. It returns nil if the
-// body fails to decode (cannot happen after validation; callers treat
-// nil as "no facts").
-func prescan(f *wasm.Func) *preInfo {
-	pre := &preInfo{loops: make(map[int]*loopInfo)}
+// prescan walks a validated body once, collecting call sites and the
+// memory-write flag. A body that fails to decode (cannot happen after
+// validation) is reported as a writer.
+func prescan(f *wasm.Func) preInfo {
+	var pre preInfo
+	undecodable := preInfo{writes: true}
 	r := wasm.NewReader(f.Body)
-
-	type frame struct{ li *loopInfo }
-	open := make([]frame, 1, 8) // open[0] is the function frame
-	var win [6]winEntry
-
-	markCall := func() {
-		for _, fr := range open {
-			if fr.li != nil {
-				fr.li.hasCall = true
-			}
-		}
-	}
-	markTrapOp := func() {
-		for _, fr := range open {
-			if fr.li != nil {
-				fr.li.hasTrapOp = true
-			}
-		}
-	}
-	markEscape := func() {
-		for _, fr := range open {
-			if fr.li != nil {
-				fr.li.escape = true
-			}
-		}
-	}
-	branchTo := func(d uint32, brOp wasm.Opcode, pc int) {
-		t := len(open) - 1 - int(d)
-		// A branch to frame t exits every loop strictly deeper than t
-		// (branching to a loop frame itself is its back edge, not an
-		// exit).
-		for j := t + 1; j >= 1 && j < len(open); j++ {
-			if li := open[j].li; li != nil {
-				li.escape = true
-			}
-		}
-		if t < 1 {
-			// Function frame or out of range: every open loop escapes.
-			markEscape()
-			return
-		}
-		li := open[t].li
-		if li == nil {
-			return
-		}
-		li.backEdges++
-		if brOp != wasm.OpBrIf {
-			return
-		}
-		// Match the trailing increment-and-test window, entirely inside
-		// this loop's extent.
-		w := &win
-		if w[0].pc < li.bodyPC {
-			return
-		}
-		if w[0].op != wasm.OpLocalGet || w[1].op != wasm.OpI32Const ||
-			w[2].op != wasm.OpI32Add || w[3].op != wasm.OpLocalTee ||
-			w[4].op != wasm.OpI32Const ||
-			(w[5].op != wasm.OpI32LtS && w[5].op != wasm.OpI32LtU) {
-			return
-		}
-		if w[0].arg != w[3].arg {
-			return
-		}
-		li.counted = true
-		li.indVar = uint32(w[0].arg)
-		li.step = w[1].arg
-		li.bound = w[4].arg
-		li.backEdgePC = pc
-	}
-
 	for r.Len() > 0 {
-		pc := r.Pos
 		op, err := r.ReadOpcode()
 		if err != nil {
-			return nil
+			return undecodable
 		}
-		var arg int64
-		switch op {
-		case wasm.OpBlock, wasm.OpIf:
-			if _, err := r.S33(); err != nil {
-				return nil
-			}
-			open = append(open, frame{})
-		case wasm.OpLoop:
-			if _, err := r.S33(); err != nil {
-				return nil
-			}
-			li := &loopInfo{headerPC: pc, bodyPC: r.Pos, modified: make(map[uint32]int)}
-			for _, fr := range open {
-				if fr.li != nil {
-					fr.li.hasInnerLoop = true
-				}
-			}
-			pre.loops[pc] = li
-			open = append(open, frame{li: li})
-		case wasm.OpElse:
-			// No frame change: else shares the if frame.
-		case wasm.OpEnd:
-			if len(open) > 1 {
-				if li := open[len(open)-1].li; li != nil {
-					li.endPC = pc
-				}
-				open = open[:len(open)-1]
-			}
-		case wasm.OpBr, wasm.OpBrIf:
-			d, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			branchTo(d, op, pc)
-		case wasm.OpBrTable:
-			n, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			for i := uint32(0); i <= n; i++ {
-				d, err := r.U32()
-				if err != nil {
-					return nil
-				}
-				branchTo(d, op, pc)
-			}
-		case wasm.OpCall:
+		if op == wasm.OpCall {
 			idx, err := r.U32()
 			if err != nil {
-				return nil
+				return undecodable
 			}
 			pre.callees = append(pre.callees, idx)
-			markCall()
-		case wasm.OpCallIndirect:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			pre.writes = true
-			markCall()
-		case wasm.OpLocalGet, wasm.OpLocalSet, wasm.OpLocalTee:
-			idx, err := r.U32()
-			if err != nil {
-				return nil
-			}
-			arg = int64(idx)
-			if op != wasm.OpLocalGet {
-				for _, fr := range open {
-					if fr.li != nil {
-						fr.li.modified[idx]++
-					}
-				}
-			}
-		case wasm.OpI32Const:
-			v, err := r.S32()
-			if err != nil {
-				return nil
-			}
-			arg = int64(v)
-		case wasm.OpMemoryGrow:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			pre.writes = true
-		case wasm.OpMemoryFill, wasm.OpMemoryCopy:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			pre.writes = true
-			markTrapOp() // can trap out of bounds mid-loop
-		case wasm.OpReturn:
-			markEscape()
-		case wasm.OpUnreachable:
-			markEscape()
-			markTrapOp()
-		case wasm.OpI32DivS, wasm.OpI32DivU, wasm.OpI32RemS, wasm.OpI32RemU,
-			wasm.OpI64DivS, wasm.OpI64DivU, wasm.OpI64RemS, wasm.OpI64RemU,
-			wasm.OpI32TruncF32S, wasm.OpI32TruncF32U, wasm.OpI32TruncF64S, wasm.OpI32TruncF64U,
-			wasm.OpI64TruncF32S, wasm.OpI64TruncF32U, wasm.OpI64TruncF64S, wasm.OpI64TruncF64U:
-			markTrapOp()
-		default:
-			if err := r.SkipImm(op); err != nil {
-				return nil
-			}
-			if _, isStore, ok := memAccess(op); ok {
-				if isStore {
-					pre.writes = true
-				}
-				for _, fr := range open {
-					if fr.li != nil {
-						fr.li.memPCs = append(fr.li.memPCs, pc)
-					}
-				}
-			}
+			continue
 		}
-		copy(win[:], win[1:])
-		win[5] = winEntry{pc: pc, op: op, arg: arg}
+		if err := r.SkipImm(op); err != nil {
+			return undecodable
+		}
+		if writesMemory(op) {
+			pre.writes = true
+		}
 	}
 	return pre
 }
 
-// memAccess classifies plain load/store opcodes: access width in bytes
-// and whether the access writes memory.
-func memAccess(op wasm.Opcode) (size uint32, store bool, ok bool) {
+// writesMemory reports whether op can modify linear memory by itself:
+// stores, bulk fill/copy, grow, and call_indirect (unknown callee).
+func writesMemory(op wasm.Opcode) bool {
 	switch op {
-	case wasm.OpI32Load8S, wasm.OpI32Load8U, wasm.OpI64Load8S, wasm.OpI64Load8U:
-		return 1, false, true
-	case wasm.OpI32Load16S, wasm.OpI32Load16U, wasm.OpI64Load16S, wasm.OpI64Load16U:
-		return 2, false, true
-	case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32S, wasm.OpI64Load32U:
-		return 4, false, true
-	case wasm.OpI64Load, wasm.OpF64Load:
-		return 8, false, true
-	case wasm.OpI32Store8, wasm.OpI64Store8:
-		return 1, true, true
-	case wasm.OpI32Store16, wasm.OpI64Store16:
-		return 2, true, true
-	case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
-		return 4, true, true
-	case wasm.OpI64Store, wasm.OpF64Store:
-		return 8, true, true
+	case wasm.OpI32Store8, wasm.OpI64Store8,
+		wasm.OpI32Store16, wasm.OpI64Store16,
+		wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32,
+		wasm.OpI64Store, wasm.OpF64Store,
+		wasm.OpMemoryGrow, wasm.OpMemoryFill, wasm.OpMemoryCopy,
+		wasm.OpCallIndirect:
+		return true
 	}
-	return 0, false, false
+	return false
 }

@@ -13,9 +13,9 @@ import (
 
 // TestCancellationUnderGeneratedLoops: generator-built unbounded loops
 // must hit TrapInterrupted identically under every matrix configuration.
-// "spin" is a genuinely infinite loop; "spin_counted" has a 2^30 trip
-// bound, above the analysis' poll-elision cap, so this doubles as a
-// regression test that NoPoll facts never elide the poll that makes a
+// "spin" is a genuinely infinite loop; "spin_counted" is a counted loop
+// with a 2^30 trip bound, the shape a compiler is most tempted to treat
+// as terminating: its back-edge must keep the poll that makes a
 // long-running loop cancellable.
 func TestCancellationUnderGeneratedLoops(t *testing.T) {
 	g := Generate(1, GenConfig{Unbounded: true})

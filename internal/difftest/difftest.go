@@ -1,18 +1,19 @@
-// Package difftest is the differential testing engine for the four
+// Package difftest is the differential testing engine for the
 // execution tiers: a structure-aware module generator (gen.go), a
 // cross-execution oracle that runs each module through every
-// engines.Catalog() configuration crossed with the static analysis on
-// and off, and an automatic minimizer (minimize.go) that shrinks any
-// diverging module into a checked-in reproducer (corpus.go).
+// engines.DifferentialMatrix() configuration, and an automatic
+// minimizer (minimize.go) that shrinks any diverging module into a
+// checked-in reproducer (corpus.go).
 //
-// The repo's unique asset is four executors — in-place interpreter,
-// rewriting interpreter, single-pass compiler, and the tiered pipeline
-// that transitions between them — for one Wasm semantics, plus an
-// analysis on/off axis that licenses check elision in every tier. Any
-// observable difference between two cells of that matrix is a bug by
-// construction, which makes random differential testing the
-// highest-leverage correctness tool the repo has: no hand-written
-// expectations, just agreement.
+// The repo's unique asset is several executors — in-place interpreter,
+// rewriting interpreter, single-pass compiler, the tiered pipeline that
+// transitions between them, the copy-and-patch compiler and the
+// optimizing pipeline — for one Wasm semantics. Any observable
+// difference between two configurations, or between a fresh instance
+// and the same instance after a pooled reset, is a bug by construction,
+// which makes random differential testing the highest-leverage
+// correctness tool the repo has: no hand-written expectations, just
+// agreement.
 //
 // An execution's observable behavior is canonicalized into an Outcome:
 // per-call results (with NaN payloads canonicalized, since Wasm permits
@@ -180,17 +181,21 @@ func (o *Oracle) Configs() []string {
 }
 
 // Run executes g under every matrix configuration and compares the
-// canonical outcomes. A nil Divergence means all configurations agreed
+// canonical outcomes, after each configuration has agreed with itself
+// across a reset (see execute). A nil Divergence means all of it agreed
 // (or some run crossed the deadline, making the module incomparable).
 func (o *Oracle) Run(g Generated) ([]EngineOutcome, *Divergence) {
 	outs := make([]EngineOutcome, len(o.engines))
 	for i, e := range o.engines {
-		outs[i] = EngineOutcome{
-			Config:  o.cfgs[i].Name,
-			Outcome: o.execute(e, g),
-		}
-		if outs[i].Outcome.Interrupted {
+		out, rerun, detail := o.execute(e, g)
+		outs[i] = EngineOutcome{Config: o.cfgs[i].Name, Outcome: out}
+		if out.Interrupted || rerun.Interrupted {
 			return outs, nil
+		}
+		if detail != "" {
+			after := o.cfgs[i].Name + " after reset"
+			outs = append(outs[:i+1], EngineOutcome{Config: after, Outcome: rerun})
+			return outs, &Divergence{Seed: g.Seed, ConfigA: o.cfgs[i].Name, ConfigB: after, Detail: detail, Outcomes: outs}
 		}
 	}
 	if d := Compare(outs); d != nil {
@@ -208,22 +213,57 @@ func (o *Oracle) Diverges(g Generated) bool {
 }
 
 // execute runs one module under one engine and captures its canonical
-// outcome.
-func (o *Oracle) execute(e *engine.Engine, g Generated) Outcome {
-	var out Outcome
+// outcome, then crosses the path a pooled instance takes: the instance
+// is reset to its post-instantiation snapshot and the calls run again.
+// The reset must restore the post-instantiation state, and the rerun's
+// outcome must equal the first; detail describes the first violation.
+// This is the differential check on the writes-memory analysis: Reset
+// skips the memory restore when every call was proven read-only, so a
+// function wrongly proven read-only leaks its writes past the reset.
+func (o *Oracle) execute(e *engine.Engine, g Generated) (out, rerun Outcome, detail string) {
 	cm, err := e.Compile(g.Bytes)
 	if err != nil {
 		out.Rejected, out.RejectPhase, out.RejectErr = true, "compile", err.Error()
-		return out
+		return out, out, ""
 	}
 	inst, err := cm.Instantiate()
 	if err != nil {
 		out.Rejected, out.RejectPhase, out.RejectErr = true, "instantiate", err.Error()
-		return out
+		return out, out, ""
 	}
 	defer inst.Release()
 
-	for _, call := range g.Calls {
+	// Set up the way engine.InstancePool does for a fresh instance.
+	snap := inst.Snapshot()
+	if inst.RT.OwnsMemory {
+		inst.RT.Memory.EnableWriteTracking()
+	}
+	var fresh, restored Outcome
+	fresh.captureState(inst.RT)
+
+	out = o.runCalls(inst, g.Calls)
+	if out.Interrupted {
+		return out, out, ""
+	}
+	if err := inst.Reset(snap); err != nil {
+		return out, out, "reset: " + err.Error()
+	}
+	restored.captureState(inst.RT)
+	if d := diffOutcome(fresh, restored); d != "" {
+		return out, restored, "reset did not restore the post-instantiation state: " + d
+	}
+	rerun = o.runCalls(inst, g.Calls)
+	if !rerun.Interrupted {
+		detail = diffOutcome(out, rerun)
+	}
+	return out, rerun, detail
+}
+
+// runCalls invokes every call of the workload on inst and captures the
+// canonical outcome: per-call results or traps, then the final state.
+func (o *Oracle) runCalls(inst *engine.Instance, calls []Call) Outcome {
+	var out Outcome
+	for _, call := range calls {
 		co := CallOutcome{Export: call.Export}
 		goctx, cancel := context.WithTimeout(context.Background(), o.Deadline)
 		results, err := inst.CallWith(goctx, engine.CallOpts{Fuel: o.Fuel}, call.Export, call.Args...)
@@ -245,8 +285,12 @@ func (o *Oracle) execute(e *engine.Engine, g Generated) Outcome {
 		}
 		out.Calls = append(out.Calls, co)
 	}
+	out.captureState(inst.RT)
+	return out
+}
 
-	ri := inst.RT
+// captureState digests the instance's linear memory and globals.
+func (out *Outcome) captureState(ri *rt.Instance) {
 	out.MemPages = ri.Memory.Pages()
 	h := fnv.New64a()
 	h.Write(ri.Memory.Data)
@@ -259,7 +303,6 @@ func (o *Oracle) execute(e *engine.Engine, g Generated) Outcome {
 		}
 		out.Globals = append(out.Globals, canonBits(t, slot.Bits))
 	}
-	return out
 }
 
 // Compare finds the first divergence between outs[0] and each other

@@ -43,7 +43,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 
 // TestCrossExecutionAgrees is the tentpole assertion: N seeds of
 // generated modules produce identical canonical outcomes across every
-// Catalog configuration crossed with analysis on/off.
+// matrix configuration, fresh and after a reset.
 func TestCrossExecutionAgrees(t *testing.T) {
 	o := NewOracle()
 	n := int64(60)

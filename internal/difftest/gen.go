@@ -32,9 +32,9 @@ type GenConfig struct {
 	// is one page above so one memory.grow can succeed.
 	MemPages uint32
 	// Unbounded additionally emits the cancellation probes: "spin", an
-	// infinite loop, and "spin_counted", a counted loop whose 2^30 trip
-	// bound exceeds the analysis' poll-elision cap — neither receives a
-	// Call; the cancellation tests invoke them under a deadline.
+	// infinite loop, and "spin_counted", a counted loop with a 2^30 trip
+	// bound — neither receives a Call; the cancellation tests invoke
+	// them under a deadline.
 	Unbounded bool
 }
 
@@ -355,9 +355,8 @@ func (fg *fgen) memOffset() uint32 {
 
 // addrExpr pushes an i32 address. The mix matters: mostly in-bounds
 // (constants and masked dynamic addresses), with a deliberate tail of
-// page-boundary constants and raw dynamic values that trap — the OOB
-// check is one of the checks the analysis elides, so both sides of it
-// must be exercised.
+// page-boundary constants and raw dynamic values that trap, so both
+// sides of the OOB check are exercised.
 func (fg *fgen) addrExpr() {
 	r := fg.g.r
 	pageBytes := int(fg.g.cfg.MemPages) * wasm.PageSize
@@ -399,8 +398,7 @@ func (fg *fgen) blockStmt(blockDepth int) {
 // countedLoop emits the terminating loop idiom: a reserved counter
 // local stepped by 1 toward a small constant bound, br_if back-edge.
 // Nothing else may branch to a loop label, so termination is
-// structural. Small bounds keep some loops inside the analysis'
-// counted-loop matcher (exercising poll elision) and runtimes short.
+// structural. Small bounds keep runtimes short.
 func (fg *fgen) countedLoop(blockDepth int) {
 	c := fg.f.AddLocal(wasm.I32)
 	fg.locals = append(fg.locals, wasm.I32)

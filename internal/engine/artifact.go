@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"wizgo/internal/analysis"
@@ -23,8 +22,9 @@ import (
 // layout, changed sidetable semantics — and every stale artifact in
 // every cache directory is evicted on its next load instead of
 // executing under wrong assumptions. The analysis version is folded in
-// because serialized facts license check elision: an artifact produced
-// under different analysis rules must self-invalidate.
+// because the serialized read-only bit licenses skipping the memory
+// reset: an artifact produced under different analysis rules must
+// self-invalidate.
 const CompilerRevision = "wizgo-codegen-4+analysis-" + analysis.Version
 
 // DiskStamp returns the producer identity for this build: the host ISA
@@ -266,45 +266,9 @@ func encodeFuncInfo(w *wbin.Writer, fi *validate.FuncInfo) {
 	}
 	w.Uvarint(uint64(fi.NumParams))
 	w.Uvarint(uint64(fi.BodyLen))
-	// Facts tail: the static-analysis bitsets ride in the artifact so a
-	// disk-cache load keeps every elided check without rerunning the
-	// analysis (its absence — NoAnalysis engines, old artifacts — just
-	// means no elision).
-	if fi.Facts == nil {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.Bool(fi.Facts.WritesMemory)
-	w.Uvarint(uint64(fi.Facts.BoundsProven))
-	w.Uvarint(uint64(fi.Facts.PollsElided))
-	writeWords(w, fi.Facts.InBounds)
-	writeWords(w, fi.Facts.NoPoll)
-	writeWords(w, fi.Facts.Prepaid)
-	w.Uvarint(uint64(len(fi.Facts.Trips)))
-	for _, pc := range sortedKeys(fi.Facts.Trips) {
-		w.Uvarint(uint64(pc))
-		w.Uvarint(uint64(fi.Facts.Trips[pc]))
-	}
-}
-
-// sortedKeys orders the trip-count map so artifact bytes are
-// deterministic for identical facts (the cache keys on content).
-func sortedKeys(m map[int]int64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-func writeWords(w *wbin.Writer, words []uint64) {
-	w.Uvarint(uint64(len(words)))
-	b := w.Reserve(8 * len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(b[i*8:], v)
-	}
+	// The read-only bit rides in the artifact so a disk-cache load keeps
+	// the reset skip without rerunning the analysis.
+	w.Bool(fi.ReadOnly)
 }
 
 // infoArena holds the artifact-wide bulk storage for FuncInfo decoding,
@@ -314,20 +278,6 @@ type infoArena struct {
 	st     []validate.SidetableEntry
 	owners []uint32
 	types  []wasm.ValueType
-}
-
-func readWords(r *wbin.Reader) []uint64 {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	words := make([]uint64, n)
-	if b := r.Take(8 * n); b != nil {
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(b[i*8:])
-		}
-	}
-	return words
 }
 
 func (a *infoArena) takeST(n int) []validate.SidetableEntry {
@@ -399,26 +349,7 @@ func decodeFuncInfo(r *wbin.Reader, fi *validate.FuncInfo, arena *infoArena) err
 	}
 	fi.NumParams = int(r.Uvarint())
 	fi.BodyLen = int(r.Uvarint())
-	if r.Bool() {
-		facts := &validate.Facts{
-			WritesMemory: r.Bool(),
-			BoundsProven: int(r.Uvarint()),
-			PollsElided:  int(r.Uvarint()),
-		}
-		facts.InBounds = readWords(r)
-		facts.NoPoll = readWords(r)
-		facts.Prepaid = readWords(r)
-		if n := int(r.Count(2)); n > 0 {
-			facts.Trips = make(map[int]int64, n)
-			for i := 0; i < n; i++ {
-				pc := int(r.Uvarint())
-				facts.Trips[pc] = int64(r.Uvarint())
-			}
-		}
-		if r.Err() == nil {
-			fi.Facts = facts
-		}
-	}
+	fi.ReadOnly = r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}

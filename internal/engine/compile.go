@@ -43,11 +43,9 @@ type CompiledModule struct {
 	// the wall-clock time of the (possibly parallel) compile phase.
 	Timings Timings
 	// Analysis summarizes the static-analysis facts baked into Infos:
-	// how many bounds checks and interrupt polls the executors will
-	// elide, and how many functions are proven read-only. Zero when the
-	// engine was configured with NoAnalysis. On a disk-cache load the
-	// stats are recomputed from the deserialized facts, so warm and
-	// cold processes report the same numbers.
+	// how many functions are proven read-only. On a disk-cache load the
+	// stats are recomputed from the deserialized bits, so warm and cold
+	// processes report the same numbers.
 	Analysis analysis.Stats
 }
 
@@ -68,8 +66,8 @@ func (cfg Config) Fingerprint() string {
 	if cfg.Tier != nil {
 		tier = fmt.Sprintf("%s %#v", cfg.Tier.Name(), cfg.Tier)
 	}
-	return fmt.Sprintf("%s|%s|%s|lazy=%v|tags=%v|skipv=%v|noanalysis=%v",
-		cfg.Name, cfg.Mode, tier, cfg.LazyCompile, cfg.Tags, cfg.SkipValidation, cfg.NoAnalysis)
+	return fmt.Sprintf("%s|%s|%s|lazy=%v|tags=%v|skipv=%v",
+		cfg.Name, cfg.Mode, tier, cfg.LazyCompile, cfg.Tags, cfg.SkipValidation)
 }
 
 // Compile decodes, validates, and (in eager JIT modes) compiles every
@@ -131,12 +129,10 @@ func (e *Engine) compile(bytes []byte) (*CompiledModule, error) {
 		},
 	}
 
-	if !e.cfg.NoAnalysis {
-		ta := time.Now()
-		cm.Analysis = analysis.Module(m, infos)
-		cm.Timings.Analyze = time.Since(ta)
-		noteAnalysis(cm.Analysis, cm.Timings.Analyze)
-	}
+	ta := time.Now()
+	cm.Analysis = analysis.Module(m, infos)
+	cm.Timings.Analyze = time.Since(ta)
+	noteAnalysis(cm.Analysis, cm.Timings.Analyze)
 
 	if e.cfg.Mode != ModeInterp && !e.cfg.LazyCompile {
 		t2 := time.Now()

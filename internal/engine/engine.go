@@ -115,13 +115,6 @@ type Config struct {
 	// validation pass, but the sidetable must still be built, so this
 	// only skips module-level checks in our implementation.
 	SkipValidation bool
-	// NoAnalysis disables the static-analysis pass (internal/analysis):
-	// no facts are attached to FuncInfos, so every executor keeps its
-	// full dynamic bounds checks and interrupt polls. The default (zero
-	// value) runs the analysis. The differential soundness suite runs
-	// each engine in both states and compares results, traps, and final
-	// memory.
-	NoAnalysis bool
 	// CompileWorkers bounds the worker pool Compile fans per-function
 	// tier compilation out over (functions are independent compilation
 	// units). 0 means GOMAXPROCS; 1 forces serial compilation, the
@@ -144,10 +137,9 @@ type Config struct {
 type Timings struct {
 	Decode   time.Duration
 	Validate time.Duration
-	// Analyze is the static-analysis pass (internal/analysis) — fact
-	// derivation between validation and tier compilation. Zero when
-	// Config.NoAnalysis is set or the module rehydrated from disk
-	// (facts travel inside the artifact).
+	// Analyze is the writes-memory scan (internal/analysis) between
+	// validation and tier compilation. Zero when the module rehydrated
+	// from disk (the read-only bits travel inside the artifact).
 	Analyze time.Duration
 	Compile time.Duration
 	// Rehydrate is the time spent materializing a persisted artifact's
@@ -560,14 +552,13 @@ func callHost(ctx *rt.Context, f *rt.FuncInst, args, results []uint64) (err erro
 
 // mayWriteMemory reports whether a call to f could modify ri's linear
 // memory: true unless the static analysis proved f's entire call tree
-// read-only. Host functions, probed instances, and functions without
-// facts (NoAnalysis engines, unanalyzed imports) are conservatively
-// writers.
+// read-only. Host functions, probed instances, and functions without a
+// FuncInfo (unanalyzed imports) are conservatively writers.
 func mayWriteMemory(ri *rt.Instance, f *rt.FuncInst) bool {
-	if ri.ProbedFuncs > 0 || f.Host != nil || f.Info == nil || f.Info.Facts == nil {
+	if ri.ProbedFuncs > 0 || f.Host != nil || f.Info == nil {
 		return true
 	}
-	return f.Info.Facts.WritesMemory
+	return !f.Info.ReadOnly
 }
 
 // crossInvoke bridges a call to a function owned by another instance:
@@ -614,13 +605,13 @@ func crossInvoke(src *rt.Context, f *rt.FuncInst, argBase int) error {
 	// The fuel budget and Go context travel with the call the same way
 	// the interrupt flag does: the callee burns the caller's budget, and
 	// whatever remains flows back so the caller's accounting stays exact.
-	savedFuel, savedPer, savedGo := dst.Fuel, dst.FuelPerIter, dst.GoCtx
-	dst.Fuel, dst.FuelPerIter, dst.GoCtx = src.Fuel, src.FuelPerIter, src.GoCtx
+	savedFuel, savedGo := dst.Fuel, dst.GoCtx
+	dst.Fuel, dst.GoCtx = src.Fuel, src.GoCtx
 	// Deferred so a panicking host function deeper in the call cannot
 	// leave the callee instance permanently polling the caller's flag.
 	defer func() {
-		src.Fuel, src.FuelPerIter = dst.Fuel, dst.FuelPerIter
-		dst.Fuel, dst.FuelPerIter, dst.GoCtx = savedFuel, savedPer, savedGo
+		src.Fuel = dst.Fuel
+		dst.Fuel, dst.GoCtx = savedFuel, savedGo
 		dst.Interrupt = saved
 	}()
 	if err := dst.Invoke(f, base); err != nil {
@@ -687,12 +678,10 @@ func (inst *Instance) CallContext(goctx context.Context, name string, args ...wa
 type CallOpts struct {
 	// Fuel bounds the call's checkpoint executions: one unit per
 	// function entry (guest and host alike) and one per loop-header
-	// arrival, identically in every tier and regardless of whether the
-	// static analysis prepaid a loop's proven trip count. 0 means
-	// unlimited. Exhaustion unwinds with a deterministic
-	// rt.TrapFuelExhausted at the same checkpoint in every
-	// configuration; any residual budget is discarded when the call
-	// returns.
+	// arrival, identically in every tier. 0 means unlimited. Exhaustion
+	// unwinds with a deterministic rt.TrapFuelExhausted at the same
+	// checkpoint in every configuration; any residual budget is
+	// discarded when the call returns.
 	Fuel int64
 }
 
@@ -733,9 +722,9 @@ func (inst *Instance) CallFuncWith(goctx context.Context, opts CallOpts, f *rt.F
 	ctx.GoCtx = goctx
 	defer func() { ctx.GoCtx = savedGo }()
 	if opts.Fuel > 0 {
-		savedFuel, savedPer := ctx.Fuel, ctx.FuelPerIter
-		ctx.Fuel, ctx.FuelPerIter = opts.Fuel, false
-		defer func() { ctx.Fuel, ctx.FuelPerIter = savedFuel, savedPer }()
+		savedFuel := ctx.Fuel
+		ctx.Fuel = opts.Fuel
+		defer func() { ctx.Fuel = savedFuel }()
 	}
 	stop := inst.armInterrupt(goctx)
 	// stop is idempotent; the defer covers a panic unwinding out of the

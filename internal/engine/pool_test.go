@@ -11,6 +11,7 @@ import (
 	"wizgo/internal/engine"
 	"wizgo/internal/engines"
 	"wizgo/internal/rt"
+	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 	"wizgo/internal/workloads"
 )
@@ -534,21 +535,24 @@ func TestResetSkipsMemoryForReadOnlyCalls(t *testing.T) {
 		t.Error("reset did not clear MemTouched")
 	}
 
-	// With analysis disabled the reader is conservatively a writer.
-	cfg := engines.WizardSPC()
-	cfg.NoAnalysis = true
-	inst2, err := engine.New(cfg, nil).Instantiate(readWriteModule())
-	if err != nil {
-		t.Fatal(err)
+	// The proof lives in FuncInfo.ReadOnly and nowhere else: a function
+	// whose info carries the zero value, or that has no info at all, is
+	// never treated as read-only.
+	reader := inst.RT.Funcs[0]
+	proven := reader.Info
+	unproven := *proven
+	unproven.ReadOnly = false
+	for name, info := range map[string]*validate.FuncInfo{"zero-value ReadOnly": &unproven, "no FuncInfo": nil} {
+		reader.Info = info
+		inst.RT.MemTouched = false
+		if _, err := inst.Call("reader"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !inst.RT.MemTouched {
+			t.Errorf("%s: call skipped MemTouched; nothing proves the reader read-only there", name)
+		}
 	}
-	defer inst2.Release()
-	inst2.RT.MemTouched = false
-	if _, err := inst2.Call("reader"); err != nil {
-		t.Fatal(err)
-	}
-	if !inst2.RT.MemTouched {
-		t.Error("NoAnalysis engine skipped MemTouched; nothing proves the reader read-only there")
-	}
+	reader.Info = proven
 }
 
 // poisonModule imports env.maybe (panics when its argument is nonzero)

@@ -28,18 +28,15 @@ var (
 		"Per-function compiler invocations across all engines.")
 
 	hAnalyze = telemetry.Default().Histogram("wizgo_analysis_seconds",
-		"Static-analysis pass latency per module (fact derivation).")
+		"Static-analysis pass latency per module (writes-memory scan).")
 	mAnalysisFacts = telemetry.Default().Counter("wizgo_analysis_facts_total",
-		"Static-analysis facts derived: proven-in-bounds accesses, elided loop polls, read-only functions.")
-	mChecksElided = telemetry.Default().Counter("wizgo_analysis_checks_elided_total",
-		"Dynamic checks the executors elide on analysis facts (bounds checks + interrupt polls), counted per compile site.")
+		"Static-analysis facts derived: functions proven read-only.")
 )
 
 // noteAnalysis publishes one finished static-analysis pass.
 func noteAnalysis(s analysis.Stats, dur time.Duration) {
 	hAnalyze.Observe(dur)
-	mAnalysisFacts.Add(uint64(s.BoundsProven + s.PollsElided + s.ReadOnly))
-	mChecksElided.Add(uint64(s.BoundsProven + s.PollsElided))
+	mAnalysisFacts.Add(uint64(s.ReadOnly))
 }
 
 // noteExecute publishes one finished top-level call: the execute

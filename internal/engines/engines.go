@@ -45,23 +45,13 @@ func Catalog() []engine.Config {
 	}
 }
 
-// DifferentialMatrix returns the full cross-execution test matrix: every
-// Catalog configuration crossed with the static analysis enabled and
-// disabled. The analysis-off variants carry a "/noanalysis" name suffix
-// so oracle reports name the exact axis that diverged. This is the
-// engine set the differential-testing oracle (internal/difftest) runs
-// every generated module through.
+// DifferentialMatrix returns the full cross-execution test matrix: the
+// Catalog plus the copy-and-patch and optimizing pipelines, so every
+// executor the repository benchmark reports an exec_ms figure for is
+// also cross-checked. This is the engine set the differential-testing
+// oracle (internal/difftest) runs every generated module through.
 func DifferentialMatrix() []engine.Config {
-	var out []engine.Config
-	for _, base := range Catalog() {
-		on := base
-		on.NoAnalysis = false
-		off := base
-		off.NoAnalysis = true
-		off.Name = base.Name + "/noanalysis"
-		out = append(out, on, off)
-	}
-	return out
+	return append(Catalog(), WasmNowLike(), TurboFanLike())
 }
 
 // ByName resolves a preset by its figure name: any of the 18 SQ-space

@@ -13,21 +13,9 @@
 package interp
 
 import (
-	"fmt"
-
 	"wizgo/internal/rt"
 	"wizgo/internal/wasm"
 )
-
-// assertInBounds re-checks an access the static analysis proved in
-// bounds. Only reachable under the `checked` build tag; a failure is an
-// analysis soundness bug, not a guest trap, so it panics.
-func assertInBounds(mem *rt.Memory, addr, off uint32, size int, f *rt.FuncInst, pc int) {
-	if !mem.InBounds(addr, off, size) {
-		panic(fmt.Sprintf("interp: checked build: analysis-elided bounds check failed: func %d pc %d addr %d+%d size %d",
-			f.Idx, pc, addr, off, size))
-	}
-}
 
 // TestHookOOBReadsZero, when true, makes an out-of-bounds i32.load
 // return 0 instead of trapping — a deliberately planted soundness bug.
@@ -104,10 +92,6 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 	// Hoisted so the back-edge poll is a register test + one atomic
 	// load, not a ctx field reload.
 	interrupt := ctx.Interrupt
-	// Static-analysis facts (nil-safe accessors): proven in-bounds
-	// accesses skip the bounds check, proven-terminating counted loops
-	// skip the back-edge interrupt poll.
-	facts := info.Facts
 
 	trap := func(kind rt.TrapKind) error {
 		return rt.NewTrap(kind, f.Idx, ip)
@@ -145,18 +129,9 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			_, ip = readBlockType(body, ip)
 			// Loop entry is a fuel checkpoint (ip is now the first body
 			// pc — the same pc compiled tiers stamp on their header
-			// checkpoint). Proven-exact-trip loops prepay their whole
-			// charge; everything is behind the Fuel > 0 branch so
-			// metering off costs one predictable test.
-			if ctx.Fuel > 0 {
-				if trips := facts.TripsAt(ip); trips > 0 {
-					ctx.FuelPrepay(trips)
-					if !ctx.FuelIter() {
-						return rt.Done, trap(rt.TrapFuelExhausted)
-					}
-				} else if !ctx.FuelCheckpoint() {
-					return rt.Done, trap(rt.TrapFuelExhausted)
-				}
+			// checkpoint).
+			if ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
+				return rt.Done, trap(rt.TrapFuelExhausted)
 			}
 		case wasm.OpIf:
 			_, ip = readBlockType(body, ip)
@@ -189,8 +164,7 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 				// predictable branches on the path that already tests
 				// for OSR). Fuel is charged first: a back-edge that
 				// deopts or interrupts must still account its header
-				// arrival. An unconditional br is never the recognized
-				// counted back-edge, so no prepaid variant here.
+				// arrival.
 				if ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
 					return rt.Done, trap(rt.TrapFuelExhausted)
 				}
@@ -211,18 +185,11 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			sp--
 			if uint32(slots[sp]) != 0 {
 				e := st[stp]
-				if int(e.TargetIP) <= opPC && ctx.Fuel > 0 {
-					// Taken back-edge: charge the header arrival, FuelIter
-					// when the loop's charge was prepaid at entry.
-					if facts.PrepaidAt(opPC) {
-						if !ctx.FuelIter() {
-							return rt.Done, trap(rt.TrapFuelExhausted)
-						}
-					} else if !ctx.FuelCheckpoint() {
-						return rt.Done, trap(rt.TrapFuelExhausted)
-					}
+				// Taken back-edge: charge the header arrival first.
+				if int(e.TargetIP) <= opPC && ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
+					return rt.Done, trap(rt.TrapFuelExhausted)
 				}
-				if int(e.TargetIP) <= opPC && interrupt != nil && !facts.NoPollAt(opPC) && interrupt.Get() {
+				if int(e.TargetIP) <= opPC && interrupt != nil && interrupt.Get() {
 					return rt.Done, trap(rt.TrapInterrupted)
 				}
 				if int(e.TargetIP) <= opPC && ctx.Invoke != nil && shouldOSR(ctx, f) {
@@ -247,8 +214,7 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			e := st[stp+int(idx)]
 			// A br_table arm can be a loop back-edge too: charge fuel
 			// and poll the interrupt so cancellation cannot hang a
-			// br_table-only loop. A br_table arm is never the counted
-			// back-edge, so no prepaid variant.
+			// br_table-only loop.
 			if int(e.TargetIP) <= opPC && ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
 				return rt.Done, trap(rt.TrapFuelExhausted)
 			}
@@ -371,7 +337,7 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			var off uint32
 			off, ip = readMemArg(body, ip)
 			addr := uint32(slots[sp-1])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 4) {
+			if !mem.InBounds(addr, off, 4) {
 				if TestHookOOBReadsZero {
 					// Planted bug (tests only): silently yield 0.
 					slots[sp-1] = 0
@@ -382,9 +348,6 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 				}
 				return rt.Done, trap(rt.TrapOOBMemory)
 			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 4, f, opPC)
-			}
 			slots[sp-1] = uint64(leU32(mem.Data, int(addr)+int(off)))
 			if tags != nil {
 				tags[sp-1] = wasm.TagI32
@@ -393,11 +356,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			var off uint32
 			off, ip = readMemArg(body, ip)
 			addr := uint32(slots[sp-1])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 8) {
+			if !mem.InBounds(addr, off, 8) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 8, f, opPC)
 			}
 			slots[sp-1] = leU64(mem.Data, int(addr)+int(off))
 			if tags != nil {
@@ -407,11 +367,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			var off uint32
 			off, ip = readMemArg(body, ip)
 			addr := uint32(slots[sp-1])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 4) {
+			if !mem.InBounds(addr, off, 4) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 4, f, opPC)
 			}
 			slots[sp-1] = uint64(leU32(mem.Data, int(addr)+int(off)))
 			if tags != nil {
@@ -421,11 +378,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			var off uint32
 			off, ip = readMemArg(body, ip)
 			addr := uint32(slots[sp-1])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 8) {
+			if !mem.InBounds(addr, off, 8) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 8, f, opPC)
 			}
 			slots[sp-1] = leU64(mem.Data, int(addr)+int(off))
 			if tags != nil {
@@ -546,11 +500,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			off, ip = readMemArg(body, ip)
 			sp -= 2
 			addr := uint32(slots[sp])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 4) {
+			if !mem.InBounds(addr, off, 4) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 4, f, opPC)
 			}
 			mem.Mark(addr, off, 4)
 			putU32(mem.Data, int(addr)+int(off), uint32(slots[sp+1]))
@@ -559,11 +510,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			off, ip = readMemArg(body, ip)
 			sp -= 2
 			addr := uint32(slots[sp])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 8) {
+			if !mem.InBounds(addr, off, 8) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 8, f, opPC)
 			}
 			mem.Mark(addr, off, 8)
 			putU64(mem.Data, int(addr)+int(off), slots[sp+1])
@@ -572,11 +520,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			off, ip = readMemArg(body, ip)
 			sp -= 2
 			addr := uint32(slots[sp])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 4) {
+			if !mem.InBounds(addr, off, 4) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 4, f, opPC)
 			}
 			mem.Mark(addr, off, 4)
 			putU32(mem.Data, int(addr)+int(off), uint32(slots[sp+1]))
@@ -585,11 +530,8 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 			off, ip = readMemArg(body, ip)
 			sp -= 2
 			addr := uint32(slots[sp])
-			if !facts.InBoundsAt(opPC) && !mem.InBounds(addr, off, 8) {
+			if !mem.InBounds(addr, off, 8) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && facts.InBoundsAt(opPC) {
-				assertInBounds(mem, addr, off, 8, f, opPC)
 			}
 			mem.Mark(addr, off, 8)
 			putU64(mem.Data, int(addr)+int(off), slots[sp+1])

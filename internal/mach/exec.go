@@ -2,7 +2,6 @@ package mach
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"wizgo/internal/numx"
@@ -712,100 +711,6 @@ func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, 
 			mem.Mark(addr, uint32(in.Imm), 8)
 			binary.LittleEndian.PutUint64(mem.Data[int(addr)+int(uint32(in.Imm)):], regs[in.C])
 
-		// Unchecked accesses: the static analysis proved
-		// addr.hi + offset + size ≤ minPages*PageSize, so the bounds
-		// check is gone. Under -tags checked it survives as an
-		// assertion whose failure is an analysis soundness bug, never
-		// a guest error.
-		case OLd8S32NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 1) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(uint32(int32(int8(mem.Data[int(addr)+int(uint32(in.Imm))]))))
-		case OLd8U32NC, OLd8U64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 1) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(mem.Data[int(addr)+int(uint32(in.Imm))])
-		case OLd16S32NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 2) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(uint32(int32(int16(binary.LittleEndian.Uint16(mem.Data[int(addr)+int(uint32(in.Imm)):])))))
-		case OLd16U32NC, OLd16U64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 2) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(binary.LittleEndian.Uint16(mem.Data[int(addr)+int(uint32(in.Imm)):]))
-		case OLd32NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 4) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(binary.LittleEndian.Uint32(mem.Data[int(addr)+int(uint32(in.Imm)):]))
-		case OLd8S64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 1) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(int64(int8(mem.Data[int(addr)+int(uint32(in.Imm))])))
-		case OLd16S64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 2) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(int64(int16(binary.LittleEndian.Uint16(mem.Data[int(addr)+int(uint32(in.Imm)):]))))
-		case OLd32S64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 4) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(int64(int32(binary.LittleEndian.Uint32(mem.Data[int(addr)+int(uint32(in.Imm)):]))))
-		case OLd32U64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 4) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = uint64(binary.LittleEndian.Uint32(mem.Data[int(addr)+int(uint32(in.Imm)):]))
-		case OLd64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 8) {
-				checkedFail(in, f, pc)
-			}
-			regs[in.A] = binary.LittleEndian.Uint64(mem.Data[int(addr)+int(uint32(in.Imm)):])
-		case OSt8NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 1) {
-				checkedFail(in, f, pc)
-			}
-			mem.Mark(addr, uint32(in.Imm), 1)
-			mem.Data[int(addr)+int(uint32(in.Imm))] = byte(regs[in.C])
-		case OSt16NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 2) {
-				checkedFail(in, f, pc)
-			}
-			mem.Mark(addr, uint32(in.Imm), 2)
-			binary.LittleEndian.PutUint16(mem.Data[int(addr)+int(uint32(in.Imm)):], uint16(regs[in.C]))
-		case OSt32NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 4) {
-				checkedFail(in, f, pc)
-			}
-			mem.Mark(addr, uint32(in.Imm), 4)
-			binary.LittleEndian.PutUint32(mem.Data[int(addr)+int(uint32(in.Imm)):], uint32(regs[in.C]))
-		case OSt64NC:
-			addr := uint32(regs[in.B])
-			if rt.Checked && !mem.InBounds(addr, uint32(in.Imm), 8) {
-				checkedFail(in, f, pc)
-			}
-			mem.Mark(addr, uint32(in.Imm), 8)
-			binary.LittleEndian.PutUint64(mem.Data[int(addr)+int(uint32(in.Imm)):], regs[in.C])
-
 		case OMemSize:
 			regs[in.A] = uint64(mem.Pages())
 		case OMemGrow:
@@ -845,17 +750,9 @@ func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, 
 			// executes per loop iteration. Fuel is charged FIRST: a
 			// checkpoint that deopts or interrupts has still executed
 			// this header arrival, and the interpreter resumes past the
-			// loop opcode, so no tier charges it twice. B==1 marks a
-			// prepaid loop (OFuelPrepay ran before the header label):
-			// the per-arrival charge applies only in degraded mode.
-			if ctx.Fuel > 0 {
-				if in.B != 0 {
-					if !ctx.FuelIter() {
-						return rt.Done, c.trapAt(rt.TrapFuelExhausted, f, pc)
-					}
-				} else if !ctx.FuelCheckpoint() {
-					return rt.Done, c.trapAt(rt.TrapFuelExhausted, f, pc)
-				}
+			// loop opcode, so no tier charges it twice.
+			if !ctx.FuelCheckpoint() {
+				return rt.Done, c.trapAt(rt.TrapFuelExhausted, f, pc)
 			}
 			if interrupt != nil && interrupt.Get() {
 				return rt.Done, c.trapAt(rt.TrapInterrupted, f, pc)
@@ -869,39 +766,6 @@ func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, 
 					ctx.Stats.Deopts++
 				}
 				return rt.Deopt, nil
-			}
-
-		case OCheckPointNoPoll:
-			// Loop header of a proven-terminating counted loop: the
-			// interrupt poll is elided, but the checkpoint still
-			// charges fuel and serves as deopt point, so fuel and
-			// invalidation semantics are identical to OCheckPoint.
-			if ctx.Fuel > 0 {
-				if in.B != 0 {
-					if !ctx.FuelIter() {
-						return rt.Done, c.trapAt(rt.TrapFuelExhausted, f, pc)
-					}
-				} else if !ctx.FuelCheckpoint() {
-					return rt.Done, c.trapAt(rt.TrapFuelExhausted, f, pc)
-				}
-			}
-			if c.Invalidated {
-				fr := &ctx.Frames[frameIdx]
-				fr.SP = vfp + int(in.A)
-				fr.PC = int(in.Imm)
-				ctx.Resume = *fr
-				if counting {
-					ctx.Stats.Deopts++
-				}
-				return rt.Deopt, nil
-			}
-
-		case OFuelPrepay:
-			// Fall-in-only (sits before the header label): deduct the
-			// loop's proven trip count, or switch to per-iteration
-			// charging when the budget cannot cover it.
-			if ctx.Fuel > 0 {
-				ctx.FuelPrepay(int64(in.A))
 			}
 
 		case OProbeFire:
@@ -933,14 +797,6 @@ func (c *Code) trapAt(kind rt.TrapKind, f *rt.FuncInst, machPC int) error {
 		wasmPC = int(c.WasmPC[machPC])
 	}
 	return rt.NewTrap(kind, f.Idx, wasmPC)
-}
-
-// checkedFail fires when a `-tags checked` build catches an access the
-// static analysis wrongly proved in bounds. That is a soundness bug in
-// internal/analysis — never a guest-program error — so it panics
-// instead of trapping.
-func checkedFail(in *Instr, f *rt.FuncInst, machPC int) {
-	panic(fmt.Sprintf("mach: checked build: analysis-elided bounds check failed: %v in func %d at machine pc %d", in, f.Idx, machPC))
 }
 
 func mf32(b uint64) float32  { return math.Float32frombits(uint32(b)) }

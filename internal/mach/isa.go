@@ -272,85 +272,8 @@ const (
 	OProbeCounter // Probes[A].(*rt.CounterProbe).Count++
 	OProbeTos     // Probes[A].(TosProbe).FireTos(slots[vfp+Imm])
 
-	// Unchecked memory accesses, selected by compilers when the static
-	// analysis (internal/analysis) proved the effective address in
-	// bounds for the module's minimum memory size. Same operand layout
-	// and semantics as the checked forms minus the bounds check; under
-	// `-tags checked` the check is kept as a soundness assertion
-	// (rt.Checked). Stores still mark dirty granules.
-	OLd8S32NC
-	OLd8U32NC
-	OLd16S32NC
-	OLd16U32NC
-	OLd32NC
-	OLd8S64NC
-	OLd8U64NC
-	OLd16S64NC
-	OLd16U64NC
-	OLd32S64NC
-	OLd32U64NC
-	OLd64NC
-	OSt8NC
-	OSt16NC
-	OSt32NC
-	OSt64NC
-
-	// OCheckPointNoPoll is a loop-header checkpoint whose interrupt
-	// poll is elided because the analysis proved the loop terminates
-	// within a bounded trip count with no calls inside. Invalidation
-	// deopt and fuel accounting are unchanged — only the poll goes.
-	OCheckPointNoPoll
-
-	// OFuelPrepay charges a proven-exact-trip loop's whole fuel cost at
-	// entry (rt.Context.FuelPrepay): A is the trip count, Imm the wasm
-	// pc of the loop's first body instruction. Emitted before the
-	// header label, so back-edges (and OSR entries) skip it; the header
-	// checkpoint carries B=1 and charges per arrival only when prepay
-	// degraded to per-iteration mode.
-	OFuelPrepay
-
 	opCount
 )
-
-// Unchecked maps a memory-access op to its no-bounds-check variant, or
-// returns op unchanged when it has none.
-func Unchecked(op Op) Op {
-	switch op {
-	case OLd8S32:
-		return OLd8S32NC
-	case OLd8U32:
-		return OLd8U32NC
-	case OLd16S32:
-		return OLd16S32NC
-	case OLd16U32:
-		return OLd16U32NC
-	case OLd32:
-		return OLd32NC
-	case OLd8S64:
-		return OLd8S64NC
-	case OLd8U64:
-		return OLd8U64NC
-	case OLd16S64:
-		return OLd16S64NC
-	case OLd16U64:
-		return OLd16U64NC
-	case OLd32S64:
-		return OLd32S64NC
-	case OLd32U64:
-		return OLd32U64NC
-	case OLd64:
-		return OLd64NC
-	case OSt8:
-		return OSt8NC
-	case OSt16:
-		return OSt16NC
-	case OSt32:
-		return OSt32NC
-	case OSt64:
-		return OSt64NC
-	}
-	return op
-}
 
 // Instr is one MachCode instruction.
 type Instr struct {
@@ -478,13 +401,6 @@ var opNames = [opCount]string{
 	OGlobalGet: "global.get", OGlobalSet: "global.set",
 	OTrap: "trap", OCheckPoint: "checkpoint", OUnreachable: "unreachable",
 	OProbeFire: "probe.fire", OProbeCounter: "probe.counter", OProbeTos: "probe.tos",
-	OLd8S32NC: "ld8_s32!", OLd8U32NC: "ld8_u32!", OLd16S32NC: "ld16_s32!",
-	OLd16U32NC: "ld16_u32!", OLd32NC: "ld32!", OLd8S64NC: "ld8_s64!",
-	OLd8U64NC: "ld8_u64!", OLd16S64NC: "ld16_s64!", OLd16U64NC: "ld16_u64!",
-	OLd32S64NC: "ld32_s64!", OLd32U64NC: "ld32_u64!", OLd64NC: "ld64!",
-	OSt8NC: "st8!", OSt16NC: "st16!", OSt32NC: "st32!", OSt64NC: "st64!",
-	OCheckPointNoPoll: "checkpoint!",
-	OFuelPrepay:       "fuel.prepay",
 }
 
 // String renders an instruction in the disassembly style used by the
@@ -519,16 +435,12 @@ func (in Instr) String() string {
 		return fmt.Sprintf("%-16s global%d, r%d", in.Op, in.Imm, in.B)
 	case OTrap:
 		return fmt.Sprintf("%-16s %v", in.Op, rt.TrapKind(in.A))
-	case OCheckPoint, OCheckPointNoPoll:
+	case OCheckPoint:
 		return fmt.Sprintf("%-16s wasm@%d", in.Op, in.Imm)
-	case OFuelPrepay:
-		return fmt.Sprintf("%-16s #%d, wasm@%d", in.Op, in.A, in.Imm)
 	case OLd8S32, OLd8U32, OLd16S32, OLd16U32, OLd32, OLd8S64, OLd8U64,
-		OLd16S64, OLd16U64, OLd32S64, OLd32U64, OLd64,
-		OLd8S32NC, OLd8U32NC, OLd16S32NC, OLd16U32NC, OLd32NC, OLd8S64NC,
-		OLd8U64NC, OLd16S64NC, OLd16U64NC, OLd32S64NC, OLd32U64NC, OLd64NC:
+		OLd16S64, OLd16U64, OLd32S64, OLd32U64, OLd64:
 		return fmt.Sprintf("%-16s r%d, [r%d+%d]", in.Op, in.A, in.B, in.Imm)
-	case OSt8, OSt16, OSt32, OSt64, OSt8NC, OSt16NC, OSt32NC, OSt64NC:
+	case OSt8, OSt16, OSt32, OSt64:
 		return fmt.Sprintf("%-16s [r%d+%d], r%d", in.Op, in.B, in.Imm, in.C)
 	case OI32AddImm, OI32SubImm, OI32MulImm, OI32AndImm, OI32OrImm, OI32XorImm,
 		OI32ShlImm, OI32ShrSImm, OI32ShrUImm,

@@ -219,8 +219,7 @@ func writesA(op mach.Op) bool {
 	case mach.ONop, mach.OStoreSlot, mach.OStoreSlotConst, mach.OStoreTag,
 		mach.OSt8, mach.OSt16, mach.OSt32, mach.OSt64,
 		mach.OGlobalSet, mach.OReturn, mach.OTrap, mach.OUnreachable,
-		mach.OCall, mach.OCallIndirect, mach.OMemCopy, mach.OMemFill,
-		mach.OFuelPrepay: // A is a trip count, not a register
+		mach.OCall, mach.OCallIndirect, mach.OMemCopy, mach.OMemFill:
 		return false
 	}
 	return true

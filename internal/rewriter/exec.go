@@ -2,7 +2,6 @@ package rewriter
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"wizgo/internal/numx"
@@ -57,26 +56,15 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 			return rt.Done, nil
 		case opFuel:
 			// Loop-entry fuel checkpoint (sits before the header label,
-			// so it runs on fall-in only). A>0: proven exact trip count —
-			// prepay, then charge this arrival via FuelIter so degraded
-			// mode stays in lockstep with per-arrival charging.
-			if ctx.Fuel > 0 {
-				if in.A > 0 {
-					ctx.FuelPrepay(int64(in.A))
-					if !ctx.FuelIter() {
-						return rt.Done, trap(rt.TrapFuelExhausted)
-					}
-				} else if !ctx.FuelCheckpoint() {
-					return rt.Done, trap(rt.TrapFuelExhausted)
-				}
+			// so it runs on fall-in only).
+			if ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
+				return rt.Done, trap(rt.TrapFuelExhausted)
 			}
 		case opBr:
 			// Backward branches are loop back-edges: the interruption
 			// point (the rewriter has no OSR counter, so the target
 			// comparison is the equivalent branch).
 			if int(in.Target) <= pc {
-				// An unconditional br is never the recognized counted
-				// back-edge, so the charge is always unconditional.
 				if ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
 					return rt.Done, trap(rt.TrapFuelExhausted)
 				}
@@ -90,21 +78,13 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 		case opBrIfNZ:
 			sp--
 			if uint32(slots[sp]) != 0 {
-				if int(in.Target) <= pc && ctx.Fuel > 0 {
-					// Imm bit 1 marks a prepaid loop back-edge: the
-					// charge is conditional (only in degraded mode).
-					if in.Imm&2 != 0 {
-						if !ctx.FuelIter() {
-							return rt.Done, trap(rt.TrapFuelExhausted)
-						}
-					} else if !ctx.FuelCheckpoint() {
+				if int(in.Target) <= pc {
+					if ctx.Fuel > 0 && !ctx.FuelCheckpoint() {
 						return rt.Done, trap(rt.TrapFuelExhausted)
 					}
-				}
-				// Imm bit 0 marks the back edge of a proven-terminating
-				// counted loop: the interrupt poll is elided.
-				if in.Imm&1 == 0 && int(in.Target) <= pc && interrupt != nil && interrupt.Get() {
-					return rt.Done, trap(rt.TrapInterrupted)
+					if interrupt != nil && interrupt.Get() {
+						return rt.Done, trap(rt.TrapInterrupted)
+					}
 				}
 				sp = transfer(slots, sp, int(in.A), int(in.B))
 				pc = int(in.Target)
@@ -317,55 +297,37 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 			sp--
 			slots[sp-1] = math.Float64bits(math.Float64frombits(slots[sp-1]) / math.Float64frombits(slots[sp]))
 
-		// A==1 on a memory access marks it proven in bounds by the
-		// static analysis: the check short-circuits. Under -tags
-		// checked the elided check survives as an assertion.
 		case wasm.OpI32Load:
 			addr := uint32(slots[sp-1])
-			if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), 4) {
+			if !mem.InBounds(addr, uint32(in.Imm), 4) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && in.A != 0 {
-				assertInBounds(mem, addr, uint32(in.Imm), 4, f, pc)
 			}
 			slots[sp-1] = uint64(binary.LittleEndian.Uint32(mem.Data[int(addr)+int(uint32(in.Imm)):]))
 		case wasm.OpI64Load, wasm.OpF64Load:
 			addr := uint32(slots[sp-1])
-			if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), 8) {
+			if !mem.InBounds(addr, uint32(in.Imm), 8) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && in.A != 0 {
-				assertInBounds(mem, addr, uint32(in.Imm), 8, f, pc)
 			}
 			slots[sp-1] = binary.LittleEndian.Uint64(mem.Data[int(addr)+int(uint32(in.Imm)):])
 		case wasm.OpF32Load:
 			addr := uint32(slots[sp-1])
-			if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), 4) {
+			if !mem.InBounds(addr, uint32(in.Imm), 4) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && in.A != 0 {
-				assertInBounds(mem, addr, uint32(in.Imm), 4, f, pc)
 			}
 			slots[sp-1] = uint64(binary.LittleEndian.Uint32(mem.Data[int(addr)+int(uint32(in.Imm)):]))
 		case wasm.OpI32Store, wasm.OpF32Store:
 			sp -= 2
 			addr := uint32(slots[sp])
-			if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), 4) {
+			if !mem.InBounds(addr, uint32(in.Imm), 4) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && in.A != 0 {
-				assertInBounds(mem, addr, uint32(in.Imm), 4, f, pc)
 			}
 			mem.Mark(addr, uint32(in.Imm), 4)
 			binary.LittleEndian.PutUint32(mem.Data[int(addr)+int(uint32(in.Imm)):], uint32(slots[sp+1]))
 		case wasm.OpI64Store, wasm.OpF64Store:
 			sp -= 2
 			addr := uint32(slots[sp])
-			if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), 8) {
+			if !mem.InBounds(addr, uint32(in.Imm), 8) {
 				return rt.Done, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && in.A != 0 {
-				assertInBounds(mem, addr, uint32(in.Imm), 8, f, pc)
 			}
 			mem.Mark(addr, uint32(in.Imm), 8)
 			binary.LittleEndian.PutUint64(mem.Data[int(addr)+int(uint32(in.Imm)):], slots[sp+1])
@@ -379,15 +341,6 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 			sp = newSP
 		}
 		pc++
-	}
-}
-
-// assertInBounds re-executes an analysis-elided bounds check under
-// `-tags checked`. A failure is a soundness bug in internal/analysis —
-// never a guest-program error — so it panics instead of trapping.
-func assertInBounds(mem *rt.Memory, addr, off uint32, size int, f *rt.FuncInst, pc int) {
-	if !mem.InBounds(addr, off, size) {
-		panic(fmt.Sprintf("rewriter: checked build: analysis-elided bounds check failed: func %d pc %d addr %d+%d size %d", f.Idx, pc, addr, off, size))
 	}
 }
 
@@ -414,11 +367,8 @@ func (c *Code) slowOp(in *Instr, slots []uint64, sp int, mem *rt.Memory, f *rt.F
 		if len(results) > 0 { // load
 			size := loadSize(op)
 			addr := uint32(slots[sp-1])
-			if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), size) {
+			if !mem.InBounds(addr, uint32(in.Imm), size) {
 				return sp, trap(rt.TrapOOBMemory)
-			}
-			if rt.Checked && in.A != 0 {
-				assertInBounds(mem, addr, uint32(in.Imm), size, f, pc)
 			}
 			slots[sp-1] = loadBits(op, mem.Data, int(addr)+int(uint32(in.Imm)))
 			return sp, nil
@@ -427,11 +377,8 @@ func (c *Code) slowOp(in *Instr, slots []uint64, sp int, mem *rt.Memory, f *rt.F
 		sp -= 2
 		size := storeSize(op)
 		addr := uint32(slots[sp])
-		if in.A == 0 && !mem.InBounds(addr, uint32(in.Imm), size) {
+		if !mem.InBounds(addr, uint32(in.Imm), size) {
 			return sp, trap(rt.TrapOOBMemory)
-		}
-		if rt.Checked && in.A != 0 {
-			assertInBounds(mem, addr, uint32(in.Imm), size, f, pc)
 		}
 		mem.Mark(addr, uint32(in.Imm), size)
 		storeBits(op, mem.Data, int(addr)+int(uint32(in.Imm)), slots[sp+1])

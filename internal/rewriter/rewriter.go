@@ -25,9 +25,7 @@ const (
 	opBrIfZ              // branch if top == 0 (compiled from `if`)
 	opBrTableX
 	// opFuel is the loop-entry fuel checkpoint, emitted before the
-	// header label so back-edges never re-execute it. A holds the
-	// proven exact trip count for prepaid loops, 0 for a plain
-	// per-entry charge.
+	// header label so back-edges never re-execute it.
 	opFuel
 )
 
@@ -77,7 +75,6 @@ type label struct {
 
 type xlat struct {
 	m      *wasm.Module
-	info   *validate.FuncInfo
 	out    []Instr
 	tables [][]int32
 	labels []label
@@ -146,14 +143,13 @@ func (x *xlat) target(fr *xctrl) int { return fr.label }
 
 // Translate pre-decodes one function body.
 func Translate(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo) (*Code, error) {
-	x := &xlat{m: m, info: info}
+	x := &xlat{m: m}
 	ft := m.Types[decl.TypeIdx]
 	funcLabel := x.newLabel()
 	x.ctrls = append(x.ctrls, xctrl{label: funcLabel, elseLabel: -1, nOut: len(ft.Results)})
 
 	r := wasm.NewReader(decl.Body)
 	for r.Len() > 0 {
-		pc := r.Pos
 		op, err := r.ReadOpcode()
 		if err != nil {
 			return nil, err
@@ -161,7 +157,7 @@ func Translate(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.Func
 		if len(x.ctrls) == 0 {
 			return nil, fmt.Errorf("rewriter: instructions after end")
 		}
-		if err := x.instr(op, r, pc); err != nil {
+		if err := x.instr(op, r); err != nil {
 			return nil, err
 		}
 	}
@@ -196,9 +192,8 @@ func (x *xlat) blockArity(r *wasm.Reader) (nIn, nOut int, err error) {
 	return 0, 1, nil
 }
 
-// instr translates one instruction; pc is its bytecode offset, used to
-// look up analysis facts.
-func (x *xlat) instr(op wasm.Opcode, r *wasm.Reader, pc int) error {
+// instr translates one instruction.
+func (x *xlat) instr(op wasm.Opcode, r *wasm.Reader) error {
 	// Skip unreachable code: it cannot execute, and its stack heights
 	// are polymorphic. Control nesting is still tracked.
 	if x.ctrls[len(x.ctrls)-1].unreach {
@@ -258,7 +253,7 @@ func (x *xlat) instr(op wasm.Opcode, r *wasm.Reader, pc int) error {
 		}
 		// Loop-entry fuel checkpoint before the header label: executes
 		// on fall-in only; back-edges charge at their branch sites.
-		x.emit(Instr{Op: opFuel, A: int32(x.info.Facts.TripsAt(r.Pos))})
+		x.emit(Instr{Op: opFuel})
 		l := x.newLabel()
 		x.bind(l)
 		x.ctrls = append(x.ctrls, xctrl{
@@ -315,20 +310,7 @@ func (x *xlat) instr(op wasm.Opcode, r *wasm.Reader, pc int) error {
 		x.h--
 		fr := x.frameAt(d)
 		val, pop := x.branchArgs(fr)
-		in := Instr{Op: opBrIfNZ, A: val, B: pop}
-		if fr.op == wasm.OpLoop {
-			// Imm bit 0: proven-terminating counted loop — the executor
-			// skips the interrupt poll on this back edge. Imm bit 1:
-			// the loop's fuel was prepaid at entry — the back-edge
-			// charge becomes conditional (FuelIter).
-			if x.info.Facts.NoPollAt(pc) {
-				in.Imm |= 1
-			}
-			if x.info.Facts.PrepaidAt(pc) {
-				in.Imm |= 2
-			}
-		}
-		x.emitBranch(in, x.target(fr))
+		x.emitBranch(Instr{Op: opBrIfNZ, A: val, B: pop}, x.target(fr))
 	case wasm.OpBrTable:
 		n, err := r.U32()
 		if err != nil {
@@ -501,13 +483,7 @@ func (x *xlat) instr(op wasm.Opcode, r *wasm.Reader, pc int) error {
 			if err != nil {
 				return err
 			}
-			in := Instr{Op: op, Imm: uint64(off)}
-			if x.info.Facts.InBoundsAt(pc) {
-				// A=1 marks the access proven in bounds; the flag
-				// round-trips through the serialized artifact.
-				in.A = 1
-			}
-			x.emit(in)
+			x.emit(Instr{Op: op, Imm: uint64(off)})
 			if _, results, ok := op.Sig(); ok && len(results) > 0 {
 				// load: addr -> value, height unchanged
 			} else {

@@ -541,7 +541,7 @@ type Instance struct {
 
 	// MemTouched records that some call since the last pool reset MAY
 	// have written this instance's memory. The engine's call entry
-	// points set it unless the callee's analysis facts prove the whole
+	// points set it unless the static analysis proved the callee's whole
 	// call tree read-only, letting a pooled reset skip the memory
 	// restore entirely. Host writes outside a call (embedder pokes) must
 	// go through Memory.MarkAll, which independently forces a restore.
@@ -636,18 +636,7 @@ type Context struct {
 	// (loop entry plus each taken back-edge), at identical program
 	// points in every tier. When the budget runs out the executor
 	// unwinds with TrapFuelExhausted. Zero disables metering.
-	//
-	// Loops whose trip count the static analysis proved exactly are
-	// charged up front (FuelPrepay) so their elided per-iteration
-	// checks stay fuel-sound; when the remaining budget cannot cover
-	// the whole loop, charging degrades to per-iteration (FuelPerIter)
-	// so the trap lands at the same point as with the analysis off.
 	Fuel int64
-	// FuelPerIter is the degraded-prepay mode flag: set by FuelPrepay
-	// when the budget could not cover a proven loop up front, making
-	// FuelIter charge each header arrival instead. Always re-set by the
-	// dominating FuelPrepay before any FuelIter site runs.
-	FuelPerIter bool
 
 	// GoCtx is the Go context of the current top-level call, installed
 	// by engine.Instance.CallContext and bridged across cross-instance
@@ -782,46 +771,13 @@ func (ctx *Context) GoContext() context.Context {
 	return context.Background()
 }
 
-// FuelCheckpoint charges one fuel unit at a plain checkpoint (function
-// entry, loop entry, or an unproven loop's back-edge). It returns false
+// FuelCheckpoint charges one fuel unit at a checkpoint (function entry,
+// loop entry, or a loop's back-edge). It returns false
 // when the budget just ran out — the caller must unwind with
 // TrapFuelExhausted. With metering off (Fuel == 0) it is a single
 // predictable branch.
 func (ctx *Context) FuelCheckpoint() bool {
 	if ctx.Fuel > 0 {
-		ctx.Fuel--
-		return ctx.Fuel > 0
-	}
-	return true
-}
-
-// FuelPrepay charges a loop whose exact trip count the analysis proved.
-// When the remaining budget covers the whole loop, all trips are
-// deducted up front and the loop body runs charge-free (FuelIter
-// no-ops); otherwise charging degrades to per-iteration mode
-// (FuelPerIter) so the exhaustion point is identical to the
-// analysis-off execution. Prepaid loops contain no calls and no inner
-// loops, so the single mode flag cannot be clobbered mid-loop.
-// FuelPrepay itself never exhausts the budget: the first header
-// arrival is charged by the FuelIter that every header site runs.
-func (ctx *Context) FuelPrepay(trips int64) {
-	if ctx.Fuel <= 0 {
-		return
-	}
-	if ctx.Fuel > trips {
-		ctx.Fuel -= trips
-		ctx.FuelPerIter = false
-		return
-	}
-	ctx.FuelPerIter = true
-}
-
-// FuelIter charges one header arrival of a prepaid loop when FuelPrepay
-// degraded it to per-iteration mode; in fully prepaid mode (or with
-// metering off) it is a no-op. Returns false when the budget just ran
-// out.
-func (ctx *Context) FuelIter() bool {
-	if ctx.Fuel > 0 && ctx.FuelPerIter {
 		ctx.Fuel--
 		return ctx.Fuel > 0
 	}

@@ -52,27 +52,9 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.flush()
 		c.resetState(c.st.h, in)
 		bodyPC := c.r.Pos
-		trips := c.info.Facts.TripsAt(bodyPC)
-		if trips > 0 {
-			// Proven-exact-trip loop: prepay its whole fuel charge on
-			// fall-in, before the header label so back-edges (and OSR
-			// entries) never re-execute it.
-			c.asm.Emit(mach.Instr{Op: mach.OFuelPrepay, A: int32(trips), Imm: uint64(bodyPC)})
-		}
 		header := c.asm.NewLabel()
 		c.asm.Bind(header)
-		cp := mach.OCheckPoint
-		if c.info.Facts.NoPollAt(bodyPC) {
-			// Proven-terminating counted loop: keep the checkpoint
-			// (deopt point, OSR entry, fuel tick) but skip the
-			// per-iteration interrupt poll.
-			cp = mach.OCheckPointNoPoll
-		}
-		prepaid := int32(0)
-		if trips > 0 {
-			prepaid = 1
-		}
-		c.asm.Emit(mach.Instr{Op: cp, A: int32(c.nLocals + c.st.h), B: prepaid, Imm: uint64(bodyPC)})
+		c.asm.Emit(mach.Instr{Op: mach.OCheckPoint, A: int32(c.nLocals + c.st.h), Imm: uint64(bodyPC)})
 		if c.pinned == nil {
 			// With pinned locals the frame is not canonical at loop
 			// headers, so OSR entry / deopt is not offered (optimizing
@@ -398,6 +380,13 @@ func (c *compiler) compileSelect() {
 			c.release(&b)
 			c.push(a)
 		} else {
+			// b moves down into a's slot, so what memory holds for b's
+			// old slot (value and tag) says nothing about the new one.
+			if b.inMem && !b.isConst {
+				c.ensureReg(&b, bSlot)
+			}
+			b.inMem = false
+			b.tagFresh = a.tagFresh
 			c.release(&a)
 			c.push(b)
 		}

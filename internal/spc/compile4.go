@@ -31,21 +31,11 @@ func (c *compiler) compileNumericOrMem(op wasm.Opcode) error {
 		if err != nil {
 			return err
 		}
-		// When the analysis proved this access in bounds, select the
-		// unchecked MachCode form. c.opPC is the wasm pc of the access.
-		nc := c.info.Facts.InBoundsAt(c.opPC)
 		if mop, resT := loadForm(op); mop != 0 {
-			if nc {
-				mop = mach.Unchecked(mop)
-			}
 			c.compileLoad(mop, resT, offset)
 			return nil
 		}
-		mop := storeForm(op)
-		if nc {
-			mop = mach.Unchecked(mop)
-		}
-		c.compileStore(mop, offset)
+		c.compileStore(storeForm(op), offset)
 		return nil
 	}
 

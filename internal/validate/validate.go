@@ -48,10 +48,12 @@ type FuncInfo struct {
 	NumParams int
 	// BodyLen is the length of the validated body in bytes.
 	BodyLen int
-	// Facts holds the static-analysis results for this function, or nil
-	// when analysis did not run (engine.Config.NoAnalysis, direct tier
-	// invocation). Executors must treat nil as "no fact proven".
-	Facts *Facts
+	// ReadOnly is set by the static-analysis pass (internal/analysis)
+	// only when the function — and everything it can transitively call —
+	// provably never writes, fills, copies into or grows linear memory.
+	// Imports and indirect calls are conservatively assumed to write, and
+	// the zero value (analysis did not run) is the conservative answer.
+	ReadOnly bool
 }
 
 // NumSlots returns the frame size in value slots (locals + max operand

@@ -262,8 +262,7 @@ func (m *Module) NumImportedMemories() int { return m.numImported(ImportMemory) 
 // module's memory (imported or defined), or 0 when the module has no
 // memory. Linking enforces the minimum on imported memories and
 // memory.grow never shrinks, so any address below MemoryMinPages()*
-// PageSize is in bounds for the module's whole lifetime — the
-// invariant the static analysis's in-bounds facts rest on.
+// PageSize is in bounds for the module's whole lifetime.
 func (m *Module) MemoryMinPages() uint32 {
 	for _, imp := range m.Imports {
 		if imp.Kind == ImportMemory {
