@@ -1,10 +1,12 @@
 // Package analysis is wizgo's static-analysis pass. It runs once per
 // module, after validation and before any tier compiles, and derives
-// one fact per function: writes-memory. A syntactic per-function scan
-// plus a call-graph fixpoint marks functions that cannot modify linear
-// memory (nor reach one that can) as validate.FuncInfo.ReadOnly. The
-// instance pool skips memory reset after invoking only read-only
-// exports.
+// one fact per function: writes-memory. It reads no bytecode: the
+// validator's walk already noted, per function, whether the body holds
+// no memory-writing instruction (validate.FuncInfo.NoWrites) and whom
+// it calls (Callees). What is left here is the call-graph fixpoint over
+// those, marking functions that cannot modify linear memory (nor reach
+// one that can) as validate.FuncInfo.ReadOnly. The instance pool skips
+// memory reset after invoking only read-only exports.
 //
 // It deliberately proves nothing that would let an executor drop a
 // bounds check, an interrupt poll or a fuel charge: the repository
@@ -34,19 +36,17 @@ type Stats struct {
 	ReadOnly     int // functions proven not to write memory
 }
 
-// Module scans every function body of a validated module and sets
-// infos[i].ReadOnly. infos must be the validator's output for m
-// (len(infos) == len(m.Funcs)). The analysis is pure: it never fails —
-// a function it cannot reason about is simply left a writer.
+// Module sets infos[i].ReadOnly from the NoWrites bits and Callees
+// lists the validator left in infos, which must be its output for m
+// (len(infos) == len(m.Funcs)); infos from anywhere else carry neither
+// and come out all writers. It reads only those two fields, so a second
+// call on the same infos changes nothing. The analysis is pure: it never
+// fails — a function it cannot reason about is simply left a writer.
 func Module(m *wasm.Module, infos []validate.FuncInfo) Stats {
 	if len(infos) != len(m.Funcs) {
 		return Stats{}
 	}
-	pres := make([]preInfo, len(m.Funcs))
-	for i := range m.Funcs {
-		pres[i] = prescan(&m.Funcs[i])
-	}
-	for i, w := range propagateWrites(m, pres) {
+	for i, w := range propagateWrites(m.NumImportedFuncs(), infos) {
 		infos[i].ReadOnly = !w
 	}
 	return StatsFromInfos(infos)
@@ -68,29 +68,28 @@ func StatsFromInfos(infos []validate.FuncInfo) Stats {
 
 // propagateWrites computes, for each module-defined function, whether it
 // can modify linear memory directly or through any reachable callee.
-// Imported functions and call_indirect targets are conservatively
-// assumed to write.
-func propagateWrites(m *wasm.Module, pres []preInfo) []bool {
-	imported := m.NumImportedFuncs()
-	writes := make([]bool, len(pres))
-	for i, pre := range pres {
-		writes[i] = pre.writes
-		for _, c := range pre.callees {
+// Imported functions (indices below imported) and call_indirect targets
+// are conservatively assumed to write.
+func propagateWrites(imported int, infos []validate.FuncInfo) []bool {
+	writes := make([]bool, len(infos))
+	for i := range infos {
+		writes[i] = !infos[i].NoWrites
+		for _, c := range infos[i].Callees {
 			if int(c) < imported {
 				writes[i] = true // host import: unknown effects
 				break
 			}
 		}
 	}
-	// Fixpoint over the local call graph; len(pres) is small and the
+	// Fixpoint over the local call graph; len(infos) is small and the
 	// graph is shallow, so a simple iterate-until-stable loop is fine.
 	for changed := true; changed; {
 		changed = false
-		for i, pre := range pres {
+		for i := range infos {
 			if writes[i] {
 				continue
 			}
-			for _, c := range pre.callees {
+			for _, c := range infos[i].Callees {
 				li := int(c) - imported
 				if li >= 0 && li < len(writes) && writes[li] {
 					writes[i] = true

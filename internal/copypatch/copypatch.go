@@ -12,8 +12,8 @@
 // round-trips through its value-stack slot, and on a dispatch-loop
 // target each round-trip is a dispatch, so it emits several times the
 // mach instructions SPC does. The repository benchmark records
-// copypatch.compile_ms 78.6 against spc.compile_ms 52.4 on
-// compile-wide, and exec_ms.copypatch 1.81 against exec_ms.int 1.31 on
+// copypatch.compile_ms 22.6 against spc.compile_ms 19.8 on
+// compile-wide, and exec_ms.copypatch 2.21 against exec_ms.int 1.43 on
 // kernels — last on both axes (ROADMAP open item 3).
 package copypatch
 

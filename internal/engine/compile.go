@@ -66,8 +66,8 @@ func (cfg Config) Fingerprint() string {
 	if cfg.Tier != nil {
 		tier = fmt.Sprintf("%s %#v", cfg.Tier.Name(), cfg.Tier)
 	}
-	return fmt.Sprintf("%s|%s|%s|lazy=%v|tags=%v|skipv=%v",
-		cfg.Name, cfg.Mode, tier, cfg.LazyCompile, cfg.Tags, cfg.SkipValidation)
+	return fmt.Sprintf("%s|%s|%s|lazy=%v|tags=%v",
+		cfg.Name, cfg.Mode, tier, cfg.LazyCompile, cfg.Tags)
 }
 
 // Compile decodes, validates, and (in eager JIT modes) compiles every

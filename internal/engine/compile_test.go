@@ -451,3 +451,72 @@ func TestLazyTierCompilesPerInstance(t *testing.T) {
 		t.Fatalf("lazy instances share state: bump = %d", got[0].I32())
 	}
 }
+
+// wideModule is the benchmark's compile-wide shape at n functions:
+// straight-line i64 arithmetic chains with an if, a store and a load per
+// step, forty steps per function.
+func wideModule(n int) []byte {
+	b := wasm.NewBuilder()
+	b.AddMemory(1, 1)
+	sig := wasm.FuncType{Params: []wasm.ValueType{wasm.I64}, Results: []wasm.ValueType{wasm.I64}}
+	for fi := 0; fi < n; fi++ {
+		f := b.NewFunc("", sig)
+		acc, tmp := f.AddLocal(wasm.I64), f.AddLocal(wasm.I64)
+		for k := 0; k < 40; k++ {
+			f.LocalGet(acc).LocalGet(0).I64Const(int64(fi*40+k+1) << 33).Op(wasm.OpI64Mul)
+			f.Op(wasm.OpI64Add).LocalSet(acc)
+			f.LocalGet(acc).I64Const(int64(k + 3)).Op(wasm.OpI64Shl).LocalSet(tmp)
+			f.LocalGet(acc).LocalGet(tmp).Op(wasm.OpI64Xor).LocalSet(acc)
+			f.LocalGet(acc).I64Const(1).Op(wasm.OpI64And).Op(wasm.OpI64Eqz)
+			f.If(wasm.BlockEmpty)
+			f.LocalGet(acc).I64Const(int64(k)).Op(wasm.OpI64Add).LocalSet(acc)
+			f.End()
+			f.I32Const(int32(k%64)).LocalGet(acc).Store(wasm.OpI64Store, 0)
+			f.I32Const(int32(k%64)).Load(wasm.OpI64Load, 0).LocalGet(acc)
+			f.Op(wasm.OpI64Add).LocalSet(acc)
+		}
+		f.LocalGet(acc).End()
+	}
+	return b.Encode()
+}
+
+// raceEnabled is set by race_test.go under -race, where sync.Pool drops
+// a quarter of all Puts on purpose and the allocation ceiling below
+// cannot hold.
+var raceEnabled bool
+
+// TestCompileAllocationBudget pins the setup path's allocation count:
+// decode + validate + analyse + compile of a 24-function compile-wide
+// module under wizeng-spc costs a fixed handful of allocations per
+// function (the FuncInfo's and the Code's exact-size slices), not some
+// per instruction or per block. A change that reintroduces growth by
+// append, a per-block snapshot or a per-function scratch structure
+// lands well above the ceiling.
+func TestCompileAllocationBudget(t *testing.T) {
+	const funcs = 24
+	module := wideModule(funcs)
+	cfg := engines.WizardSPC()
+	cfg.CompileWorkers = 1
+	e := engine.New(cfg, nil)
+	var cm *engine.CompiledModule
+	compile := func() {
+		var err error
+		if cm, err = e.Compile(module); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile() // fills the validator / assembler / compiler pools
+	perFunc := testing.AllocsPerRun(5, compile) / funcs
+	t.Logf("%.1f allocations per function", perFunc)
+	const ceiling = 11 // measured 8.6 (260.6 before scratch was reused)
+	if perFunc > ceiling && !raceEnabled {
+		t.Errorf("setup allocates %.1f times per function, ceiling %d", perFunc, ceiling)
+	}
+	for i, c := range cm.Codes {
+		code := c.(*mach.Code)
+		if cap(code.Instrs) != len(code.Instrs) || cap(code.WasmPC) != len(code.WasmPC) {
+			t.Errorf("func %d: code keeps spare capacity (Instrs %d/%d, WasmPC %d/%d)", i,
+				len(code.Instrs), cap(code.Instrs), len(code.WasmPC), cap(code.WasmPC))
+		}
+	}
+}

@@ -110,11 +110,6 @@ type Config struct {
 	StackSlots int
 	// MaxDepth bounds call nesting (default 10000).
 	MaxDepth int
-	// SkipValidation models engines that do not verify bytecode (the
-	// paper found wasm3 does not!). Setup time then excludes a
-	// validation pass, but the sidetable must still be built, so this
-	// only skips module-level checks in our implementation.
-	SkipValidation bool
 	// CompileWorkers bounds the worker pool Compile fans per-function
 	// tier compilation out over (functions are independent compilation
 	// units). 0 means GOMAXPROCS; 1 forces serial compilation, the

@@ -1,29 +1,46 @@
 package mach
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Asm is the assembler the compilers emit through: an append-only
 // instruction buffer with label binding and forward-reference patching,
 // the analog of a machine-code assembler with a relocation list.
+//
+// Everything but the br_table vectors is scratch: NewAsm takes an
+// assembler whose buffers an earlier function already grew, and Finish
+// copies the code out at its exact size and hands the assembler back.
+// An Asm must not be used after Finish.
 type Asm struct {
 	code   []Instr
 	wasmPC []int32
 	curPC  int32 // wasm pc attributed to instructions being emitted
 	tables [][]int32
 
-	// labels[i] is the bound machine pc, or -1 while unbound.
-	labels []int
-	// fixups maps label -> list of instruction indices whose Imm is the
-	// label target.
-	fixups map[int][]int
-	// tableFixups maps label -> list of (table, slot) positions.
-	tableFixups map[int][][2]int
+	labels []label
+	// tableFixups holds the pending br_table slots of all labels; each
+	// label's entries are chained through next.
+	tableFixups []tableFixup
 }
 
-// NewAsm returns an empty assembler.
-func NewAsm() *Asm {
-	return &Asm{fixups: make(map[int][]int), tableFixups: make(map[int][][2]int)}
+// label is one label's state: the bound machine pc (-1 while unbound)
+// and the heads of its two pending-reference chains (-1 when empty).
+// Branch fixups chain through the Imm of the unresolved instructions
+// themselves, table fixups through tableFixup.next.
+type label struct {
+	pos, fixup, tableFixup int32
 }
+
+type tableFixup struct {
+	table, slot, next int32
+}
+
+var asms = sync.Pool{New: func() any { return new(Asm) }}
+
+// NewAsm returns an empty assembler.
+func NewAsm() *Asm { return asms.Get().(*Asm) }
 
 // SetWasmPC sets the bytecode offset attributed to subsequently emitted
 // instructions (for trap attribution and deopt).
@@ -41,43 +58,49 @@ func (a *Asm) Emit(in Instr) int {
 
 // NewLabel allocates an unbound label.
 func (a *Asm) NewLabel() int {
-	a.labels = append(a.labels, -1)
+	a.labels = append(a.labels, label{pos: -1, fixup: -1, tableFixup: -1})
 	return len(a.labels) - 1
 }
 
 // Bind binds label to the current position and patches pending fixups.
 func (a *Asm) Bind(label int) {
-	if a.labels[label] != -1 {
+	l := &a.labels[label]
+	if l.pos != -1 {
 		panic(fmt.Sprintf("mach.Asm: label %d bound twice", label))
 	}
 	pos := len(a.code)
-	a.labels[label] = pos
-	for _, idx := range a.fixups[label] {
-		a.code[idx].Imm = uint64(pos)
+	l.pos = int32(pos)
+	for idx := l.fixup; idx != -1; {
+		in := &a.code[idx]
+		idx = int32(in.Imm)
+		in.Imm = uint64(pos)
 	}
-	delete(a.fixups, label)
-	for _, ts := range a.tableFixups[label] {
-		a.tables[ts[0]][ts[1]] = int32(pos)
+	for idx := l.tableFixup; idx != -1; {
+		f := a.tableFixups[idx]
+		a.tables[f.table][f.slot] = int32(pos)
+		idx = f.next
 	}
-	delete(a.tableFixups, label)
+	l.fixup, l.tableFixup = -1, -1
 }
 
 // Bound reports whether the label has been bound (loop headers are bound
 // before their branches; forward labels after).
-func (a *Asm) Bound(label int) bool { return a.labels[label] != -1 }
+func (a *Asm) Bound(label int) bool { return a.labels[label].pos != -1 }
 
 // Target returns the pc of a bound label.
-func (a *Asm) Target(label int) int { return a.labels[label] }
+func (a *Asm) Target(label int) int { return int(a.labels[label].pos) }
 
 // EmitBranch emits a branch instruction whose Imm is the label target,
 // recording a fixup when the label is not yet bound.
 func (a *Asm) EmitBranch(in Instr, label int) int {
-	if a.labels[label] != -1 {
-		in.Imm = uint64(a.labels[label])
+	l := &a.labels[label]
+	if l.pos != -1 {
+		in.Imm = uint64(l.pos)
 		return a.Emit(in)
 	}
+	in.Imm = uint64(uint32(l.fixup))
 	idx := a.Emit(in)
-	a.fixups[label] = append(a.fixups[label], idx)
+	l.fixup = int32(idx)
 	return idx
 }
 
@@ -87,29 +110,53 @@ func (a *Asm) NewTable(labels []int) int {
 	t := make([]int32, len(labels))
 	tidx := len(a.tables)
 	a.tables = append(a.tables, t)
-	for i, l := range labels {
-		if a.labels[l] != -1 {
-			t[i] = int32(a.labels[l])
-		} else {
-			a.tableFixups[l] = append(a.tableFixups[l], [2]int{tidx, i})
+	for i, li := range labels {
+		l := &a.labels[li]
+		if l.pos != -1 {
+			t[i] = l.pos
+			continue
 		}
+		a.tableFixups = append(a.tableFixups, tableFixup{int32(tidx), int32(i), l.tableFixup})
+		l.tableFixup = int32(len(a.tableFixups) - 1)
 	}
 	return tidx
 }
 
-// Finish seals the assembly into a Code object. All labels referenced by
-// branches must be bound.
+// Finish seals the assembly into a Code object holding exact-size
+// copies of the instruction stream, and recycles the assembler. All
+// labels referenced by branches must be bound.
 func (a *Asm) Finish() (*Code, error) {
-	if len(a.fixups) > 0 || len(a.tableFixups) > 0 {
-		return nil, fmt.Errorf("mach.Asm: %d labels left unbound", len(a.fixups)+len(a.tableFixups))
+	defer a.recycle()
+	unbound := 0
+	for _, l := range a.labels {
+		if l.fixup != -1 || l.tableFixup != -1 {
+			unbound++
+		}
 	}
-	return &Code{
-		Instrs: a.code,
-		WasmPC: a.wasmPC,
-		Tables: a.tables,
+	if unbound > 0 {
+		return nil, fmt.Errorf("mach.Asm: %d labels left unbound", unbound)
+	}
+	code := &Code{
+		Instrs: append(make([]Instr, 0, len(a.code)), a.code...),
+		WasmPC: append(make([]int32, 0, len(a.wasmPC)), a.wasmPC...),
 		// One MachCode instruction stands in for one native
 		// instruction; 4 bytes approximates RISC-style encoding for
 		// compile-throughput accounting.
 		CodeBytes: len(a.code) * 4,
-	}, nil
+	}
+	if len(a.tables) > 0 {
+		code.Tables = append(make([][]int32, 0, len(a.tables)), a.tables...)
+	}
+	return code, nil
+}
+
+// recycle empties the assembler, keeping its buffers, and returns it to
+// the pool. The br_table vectors now belong to the Code.
+func (a *Asm) recycle() {
+	clear(a.tables)
+	*a = Asm{
+		code: a.code[:0], wasmPC: a.wasmPC[:0], tables: a.tables[:0],
+		labels: a.labels[:0], tableFixups: a.tableFixups[:0],
+	}
+	asms.Put(a)
 }

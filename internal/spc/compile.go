@@ -47,16 +47,42 @@ type compiler struct {
 	st      state
 	ctrls   []ctrl
 	nLocals int
-	pending *pendingCmp
+	// pending points at pendingBuf while a compare is deferred.
+	pending    *pendingCmp
+	pendingBuf pendingCmp
+	// free holds snapshot buffers of closed ifs for the next if to take.
+	free []*state
 
+	// osrEntries and stackmaps are allocated when first written.
 	osrEntries map[int]int
 	stackmaps  map[int][]int32
 	pinned     []int8 // local index -> dedicated register, or noReg
 	counters   []*rt.CounterProbe
 	tosProbes  []rt.TosProbe
 
-	r    *wasm.Reader
+	r    wasm.Reader
 	opPC int
+}
+
+// setPending defers the compare p one instruction.
+func (c *compiler) setPending(p pendingCmp) {
+	c.pendingBuf = p
+	c.pending = &c.pendingBuf
+}
+
+// snapshot returns a deep copy of the abstract state — the paper's
+// "making copy extremely cheap (i.e. memcpy)" strategy for control-flow
+// splits — in a recycled buffer when one is free.
+func (c *compiler) snapshot() *state {
+	var cp *state
+	if n := len(c.free); n > 0 {
+		cp, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		cp = new(state)
+	}
+	cp.avals = append(cp.avals[:0], c.st.avals...)
+	cp.h, cp.regs = c.st.h, c.st.regs
+	return cp
 }
 
 func (c *compiler) fail(format string, args ...any) error {
@@ -178,24 +204,7 @@ func (c *compiler) emitTag(slot int, t wasm.ValueType) {
 // flush writes every dirty slot back to the value stack, keeping
 // register bindings and constant knowledge (the redundant-spill
 // avoidance the paper lists: already-written slots emit nothing).
-func (c *compiler) flush() {
-	limit := c.nLocals + c.st.h
-	for i := 0; i < limit; i++ {
-		av := &c.st.avals[i]
-		if av.inMem || (i < c.nLocals && c.isPinned(i)) {
-			continue
-		}
-		switch {
-		case av.reg != noReg:
-			c.asm.Emit(mach.Instr{Op: mach.OStoreSlot, B: int32(av.reg), Imm: uint64(i)})
-		case av.isConst:
-			c.asm.Emit(mach.Instr{Op: mach.OStoreSlotConst, A: int32(i), Imm: av.konst})
-		default:
-			panic("spc: dirty slot with no location")
-		}
-		av.inMem = true
-	}
-}
+func (c *compiler) flush() { c.flushExcept(0) }
 
 // dropRegs forgets all register bindings (after calls, which clobber
 // caller-saved registers).

@@ -40,19 +40,17 @@ func (c *compiler) blockType() (in, out []wasm.ValueType, err error) {
 	if bt == -64 {
 		return nil, nil, nil
 	}
-	return nil, []wasm.ValueType{wasm.ValueType(byte(bt & 0x7F))}, nil
+	return nil, wasm.ValueType(byte(bt & 0x7F)).Single(), nil
 }
 
 func (c *compiler) compile() (*mach.Code, error) {
 	ft := c.m.Types[c.decl.TypeIdx]
 	c.nLocals = len(c.info.LocalTypes)
-	c.st.avals = make([]aval, c.nLocals+c.info.MaxStack)
+	// Zeroed slots in the recycled buffer (append-of-make extends in
+	// place, without a temporary).
+	c.st.avals = append(c.st.avals[:0], make([]aval, c.nLocals+c.info.MaxStack)...)
 	c.st.regs.limit = c.cfg.NumRegs
-	c.osrEntries = make(map[int]int)
-	if c.cfg.Stackmaps {
-		c.stackmaps = make(map[int][]int32)
-	}
-	c.r = wasm.NewReader(c.decl.Body)
+	c.r = wasm.Reader{Bytes: c.decl.Body}
 
 	if err := c.analyzeLocals(); err != nil {
 		return nil, err
@@ -206,8 +204,11 @@ func (c *compiler) epilogueReturn(fromMemory bool) {
 // a call site (MAP-feature compilers only). argSlots excludes the
 // outgoing arguments, which the callee covers.
 func (c *compiler) recordStackmap(pc, excludeTop int) {
-	if c.stackmaps == nil {
+	if !c.cfg.Stackmaps {
 		return
+	}
+	if c.stackmaps == nil {
+		c.stackmaps = make(map[int][]int32)
 	}
 	var refs []int32
 	for i := 0; i < c.nLocals; i++ {

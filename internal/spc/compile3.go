@@ -64,6 +64,9 @@ func (c *compiler) instr(op wasm.Opcode) error {
 			// tiers up from, so entering before the checkpoint would
 			// charge that header arrival twice. Back-edges still jump
 			// to the header label and execute the checkpoint.
+			if c.osrEntries == nil {
+				c.osrEntries = make(map[int]int)
+			}
 			c.osrEntries[bodyPC] = c.asm.Pos()
 		}
 		c.ctrls = append(c.ctrls, ctrl{
@@ -87,7 +90,7 @@ func (c *compiler) instr(op wasm.Opcode) error {
 			endLabel: endLabel, elseLabel: elseLabel, headerLabel: -1,
 			ifReachable: true,
 		}
-		fr.saved = c.st.snapshot()
+		fr.saved = c.snapshot()
 		c.ctrls = append(c.ctrls, fr)
 	case wasm.OpElse:
 		fr := &c.ctrls[len(c.ctrls)-1]
@@ -519,6 +522,11 @@ func (c *compiler) localSet(idx int) {
 func (c *compiler) compileEnd() error {
 	fr := c.ctrls[len(c.ctrls)-1]
 	c.ctrls = c.ctrls[:len(c.ctrls)-1]
+	if fr.saved != nil {
+		// Free for the next if; nothing below snapshots before the
+		// last restore from it.
+		c.free = append(c.free, fr.saved)
+	}
 	live := !fr.unreachable
 	if live {
 		c.matPending()
@@ -671,11 +679,6 @@ func (c *compiler) skipInstr(op wasm.Opcode) error {
 			endLabel: -1, elseLabel: -1, headerLabel: -1,
 			height: c.st.h,
 		})
-		if op == wasm.OpIf {
-			// A dead if still needs labels in case... no branches can
-			// reference them from dead code; leave unallocated.
-			c.ctrls[len(c.ctrls)-1].saved = c.st.snapshot()
-		}
 		return nil
 	case wasm.OpElse:
 		fr := &c.ctrls[len(c.ctrls)-1]

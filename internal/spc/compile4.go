@@ -94,7 +94,7 @@ func (c *compiler) compileUn(op wasm.Opcode, resT wasm.ValueType) {
 			width = wasm.I64
 		}
 		rb := c.ensureReg(&v, vSlot)
-		c.pending = &pendingCmp{op: op, rb: rb, operandB: width, resType: wasm.I32}
+		c.setPending(pendingCmp{op: op, rb: rb, operandB: width, resType: wasm.I32})
 		v.reg = noReg // reference moved into the pending record
 		c.st.h++      // the pending result occupies the slot abstractly
 		c.st.avals[c.nLocals+c.st.h-1] = aval{typ: wasm.I32, reg: noReg}
@@ -140,15 +140,15 @@ func (c *compiler) compileBin(op wasm.Opcode, resT wasm.ValueType) {
 		if b.isConst && width == wasm.I32 && c.cfg.ISel {
 			ra := c.ensureReg(&a, aSlot)
 			a.reg = noReg
-			c.pending = &pendingCmp{op: op, rb: ra, imm: b.konst, isImm: true,
-				operandB: width, resType: wasm.I32}
+			c.setPending(pendingCmp{op: op, rb: ra, imm: b.konst, isImm: true,
+				operandB: width, resType: wasm.I32})
 		} else {
 			ra := c.ensureReg(&a, aSlot)
 			rb := c.ensureReg(&b, bSlot)
 			a.reg = noReg
 			b.reg = noReg
-			c.pending = &pendingCmp{op: op, rb: ra, rc: rb, operandB: width,
-				resType: wasm.I32}
+			c.setPending(pendingCmp{op: op, rb: ra, rc: rb, operandB: width,
+				resType: wasm.I32})
 		}
 		c.st.h++
 		c.st.avals[c.nLocals+c.st.h-1] = aval{typ: wasm.I32, reg: noReg}

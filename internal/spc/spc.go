@@ -22,6 +22,8 @@
 package spc
 
 import (
+	"sync"
+
 	"wizgo/internal/mach"
 	"wizgo/internal/rt"
 	"wizgo/internal/validate"
@@ -83,14 +85,25 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 	if cfg.NumRegs <= 0 || cfg.NumRegs > mach.AllocatableRegs {
 		cfg.NumRegs = mach.AllocatableRegs
 	}
-	c := &compiler{
-		m:      m,
-		fidx:   fidx,
-		decl:   decl,
-		info:   info,
-		probes: probes,
-		cfg:    cfg,
-		asm:    mach.NewAsm(),
-	}
+	c := compilers.Get().(*compiler)
+	defer c.recycle()
+	c.m, c.fidx, c.decl, c.info, c.probes, c.cfg = m, fidx, decl, info, probes, cfg
+	c.asm = mach.NewAsm()
 	return c.compile()
+}
+
+// compilers recycles compiler scratch (abstract state, control stack,
+// snapshot buffers) across functions, modules and worker goroutines.
+var compilers = sync.Pool{New: func() any { return new(compiler) }}
+
+// recycle empties c, keeping only its scratch buffers, and returns it to
+// the pool. Snapshots of frames an error left open are simply dropped.
+func (c *compiler) recycle() {
+	clear(c.ctrls[:cap(c.ctrls)]) // popped frames still point at m's types
+	*c = compiler{
+		st:    state{avals: c.st.avals[:0]},
+		ctrls: c.ctrls[:0],
+		free:  c.free,
+	}
+	compilers.Put(c)
 }

@@ -72,15 +72,6 @@ type state struct {
 	regs  regFile
 }
 
-// snapshot returns a deep copy — the paper's "making copy extremely
-// cheap (i.e. memcpy)" strategy for control-flow splits.
-func (s *state) snapshot() *state {
-	cp := &state{h: s.h, regs: s.regs}
-	cp.avals = make([]aval, len(s.avals))
-	copy(cp.avals, s.avals)
-	return cp
-}
-
 // restore overwrites s with a previously taken snapshot.
 func (s *state) restore(from *state) {
 	copy(s.avals, from.avals)

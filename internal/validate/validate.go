@@ -10,6 +10,7 @@ package validate
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"wizgo/internal/wasm"
 )
@@ -48,6 +49,13 @@ type FuncInfo struct {
 	NumParams int
 	// BodyLen is the length of the validated body in bytes.
 	BodyLen int
+	// NoWrites reports that the body holds no store, memory.grow/fill/copy
+	// or call_indirect, reachable or not; Callees lists its direct calls'
+	// function indices in body order. Both are noted during the walk as
+	// the input of internal/analysis and are not serialized; the zero
+	// value (not the validator's output) reads as a writer.
+	NoWrites bool
+	Callees  []uint32
 	// ReadOnly is set by the static-analysis pass (internal/analysis)
 	// only when the function — and everything it can transitively call —
 	// provably never writes, fills, copies into or grows linear memory.
@@ -73,12 +81,17 @@ type ctrlFrame struct {
 	// stpAtStart and ipAtStart give the branch target for loops.
 	stpAtStart int
 	ipAtStart  int
-	// endFixups are sidetable entry indices patched when end is reached.
-	endFixups []int
+	// endFixup heads the chain of sidetable entries patched when end is
+	// reached, noFixup when empty; an unresolved entry's TargetIP holds
+	// the next index.
+	endFixup uint32
 	// ifFixup is the entry emitted at if for its false edge; patched at
 	// else (or at end when there is no else). -1 if absent.
 	ifFixup int
 }
+
+// noFixup terminates a frame's end-fixup chain.
+const noFixup = ^uint32(0)
 
 func (f *ctrlFrame) labelArity() int {
 	if f.op == wasm.OpLoop {
@@ -94,16 +107,24 @@ func (f *ctrlFrame) labelTypes() []wasm.ValueType {
 	return f.endTypes
 }
 
+// validator holds the abstract-interpretation state of one function
+// walk. It is reused for every function of a module (and, through the
+// validators pool, by later modules); side, owners and callees grow in
+// its buffers and each FuncInfo receives exact-size copies.
 type validator struct {
-	m      *wasm.Module
-	f      *wasm.Func
-	r      *wasm.Reader
-	vals   []wasm.ValueType
-	ctrls  []ctrlFrame
-	info   *FuncInfo
-	opPC   int         // pc of the opcode being validated
-	op     wasm.Opcode // opcode being validated (noOpcode before the first)
-	locals []wasm.ValueType
+	m       *wasm.Module
+	r       wasm.Reader
+	vals    []wasm.ValueType
+	ctrls   []ctrlFrame
+	targets []uint32 // br_table depths of the instruction being validated
+	side    []SidetableEntry
+	owners  []uint32
+	callees []uint32
+	writes  bool // the body holds a memory-writing instruction
+	info    *FuncInfo
+	opPC    int         // pc of the opcode being validated
+	op      wasm.Opcode // opcode being validated (noOpcode before the first)
+	locals  []wasm.ValueType
 	// numMemories and numTables cache the imported+defined counts:
 	// memCheck and call_indirect consult them per instruction, and
 	// recounting the import section each time would make validation
@@ -142,20 +163,16 @@ func Module(m *wasm.Module) ([]FuncInfo, error) {
 	}
 	infos := make([]FuncInfo, len(m.Funcs))
 	nImp := m.NumImportedFuncs()
-	// The counts are shared across all function validations; recounting
-	// the import section per function would make Module O(functions x
-	// imports).
-	numMemories, numTables := m.NumMemories(), m.NumTables()
+	v := newValidator(m)
+	defer v.release()
 	for i := range m.Funcs {
-		fi, err := function(m, &m.Funcs[i], numMemories, numTables)
-		if err != nil {
+		if err := v.function(&m.Funcs[i], &infos[i]); err != nil {
 			var verr *Error
 			if errors.As(err, &verr) {
 				verr.FuncIdx = uint32(nImp + i)
 			}
 			return nil, err
 		}
-		infos[i] = *fi
 	}
 	return infos, nil
 }
@@ -229,37 +246,67 @@ func moduleLevel(m *wasm.Module) error {
 
 // Function validates a single function body and returns its metadata.
 func Function(m *wasm.Module, f *wasm.Func) (*FuncInfo, error) {
-	return function(m, f, m.NumMemories(), m.NumTables())
+	v := newValidator(m)
+	defer v.release()
+	info := new(FuncInfo)
+	if err := v.function(f, info); err != nil {
+		return nil, err
+	}
+	return info, nil
 }
 
-// function is Function with the import-spanning counts precomputed, so
-// Module's per-function loop shares one count.
-func function(m *wasm.Module, f *wasm.Func, numMemories, numTables int) (*FuncInfo, error) {
-	ft := m.Types[f.TypeIdx]
+// validators recycles validator scratch across modules and goroutines.
+var validators = sync.Pool{New: func() any { return new(validator) }}
+
+// newValidator takes a validator from the pool and binds it to m. The
+// import-spanning counts are taken once here: recounting the import
+// section per function would make Module O(functions x imports).
+func newValidator(m *wasm.Module) *validator {
+	v := validators.Get().(*validator)
+	v.m, v.numMemories, v.numTables = m, m.NumMemories(), m.NumTables()
+	return v
+}
+
+// release returns v to the pool holding only its scratch buffers, not
+// the module it last walked.
+func (v *validator) release() {
+	v.m, v.info, v.locals, v.r = nil, nil, nil, wasm.Reader{}
+	clear(v.ctrls[:cap(v.ctrls)]) // popped frames still point at m's types
+	validators.Put(v)
+}
+
+// function validates f into info.
+func (v *validator) function(f *wasm.Func, info *FuncInfo) error {
+	ft := v.m.Types[f.TypeIdx]
 	locals := make([]wasm.ValueType, 0, len(ft.Params)+len(f.Locals))
 	locals = append(locals, ft.Params...)
 	locals = append(locals, f.Locals...)
 
-	v := &validator{
-		m:           m,
-		f:           f,
-		r:           wasm.NewReader(f.Body),
-		op:          noOpcode,
-		locals:      locals,
-		numMemories: numMemories,
-		numTables:   numTables,
-		info: &FuncInfo{
-			LocalTypes: locals,
-			Results:    ft.Results,
-			NumParams:  len(ft.Params),
-			BodyLen:    len(f.Body),
-		},
+	*info = FuncInfo{
+		LocalTypes: locals,
+		Results:    ft.Results,
+		NumParams:  len(ft.Params),
+		BodyLen:    len(f.Body),
 	}
+	v.r = wasm.Reader{Bytes: f.Body}
+	v.vals, v.ctrls = v.vals[:0], v.ctrls[:0]
+	v.side, v.owners, v.callees = v.side[:0], v.owners[:0], v.callees[:0]
+	v.info, v.op, v.opPC, v.locals, v.writes = info, noOpcode, 0, locals, false
 	v.pushCtrl(0, nil, ft.Results)
 	if err := v.run(); err != nil {
-		return nil, err
+		return err
 	}
-	return v.info, nil
+	info.Sidetable, info.Owners, info.Callees = exact(v.side), exact(v.owners), exact(v.callees)
+	info.NoWrites = !v.writes
+	return nil
+}
+
+// exact returns a copy of s with no spare capacity (nil when empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 func (v *validator) fail(format string, args ...any) error {
@@ -318,8 +365,9 @@ func (v *validator) pushCtrl(op wasm.Opcode, in, out []wasm.ValueType) {
 		startTypes: in,
 		endTypes:   out,
 		height:     len(v.vals),
-		stpAtStart: len(v.info.Sidetable),
+		stpAtStart: len(v.side),
 		ipAtStart:  v.r.Pos,
+		endFixup:   noFixup,
 		ifFixup:    -1,
 	})
 	v.pushVals(in)
@@ -363,16 +411,16 @@ func (v *validator) emitBranch(frame *ctrlFrame) int {
 	if pop < 0 {
 		pop = 0 // only possible in unreachable code; entry never runs
 	}
-	idx := len(v.info.Sidetable)
-	v.info.Owners = append(v.info.Owners, uint32(v.opPC))
+	idx := len(v.side)
+	v.owners = append(v.owners, uint32(v.opPC))
 	e := SidetableEntry{ValCount: uint32(arity), PopCount: uint32(pop)}
 	if frame.op == wasm.OpLoop {
 		e.TargetIP = uint32(frame.ipAtStart)
 		e.TargetSTP = uint32(frame.stpAtStart)
 	} else {
-		frame.endFixups = append(frame.endFixups, idx)
+		e.TargetIP, frame.endFixup = frame.endFixup, uint32(idx)
 	}
-	v.info.Sidetable = append(v.info.Sidetable, e)
+	v.side = append(v.side, e)
 	return idx
 }
 
@@ -391,11 +439,11 @@ func (v *validator) blockType() (in, out []wasm.ValueType, err error) {
 	if bt == -64 { // 0x40: empty
 		return nil, nil, nil
 	}
-	vt := wasm.ValueType(byte(bt & 0x7F))
-	if !vt.Valid() {
+	out = wasm.ValueType(byte(bt & 0x7F)).Single()
+	if out == nil {
 		return nil, nil, v.fail("invalid block type %d", bt)
 	}
-	return nil, []wasm.ValueType{vt}, nil
+	return nil, out, nil
 }
 
 func (v *validator) run() error {
@@ -470,9 +518,9 @@ func (v *validator) instr(op wasm.Opcode) error {
 		v.pushCtrl(wasm.OpIf, in, out)
 		frame := &v.ctrls[len(v.ctrls)-1]
 		// The if's false edge: target patched at else or end.
-		frame.ifFixup = len(v.info.Sidetable)
-		v.info.Owners = append(v.info.Owners, uint32(v.opPC))
-		v.info.Sidetable = append(v.info.Sidetable, SidetableEntry{
+		frame.ifFixup = len(v.side)
+		v.owners = append(v.owners, uint32(v.opPC))
+		v.side = append(v.side, SidetableEntry{
 			ValCount: uint32(len(in)),
 		})
 	case wasm.OpElse:
@@ -491,18 +539,19 @@ func (v *validator) instr(op wasm.Opcode) error {
 		nf := &v.ctrls[len(v.ctrls)-1]
 		nf.hasElse = true
 		// This entry jumps from the end of the then-arm past end.
-		elseEntry := len(v.info.Sidetable)
-		v.info.Owners = append(v.info.Owners, uint32(v.opPC))
-		v.info.Sidetable = append(v.info.Sidetable, SidetableEntry{
+		elseEntry := len(v.side)
+		v.owners = append(v.owners, uint32(v.opPC))
+		// Branches inside the then-arm that target this label must
+		// still be patched at end; this entry joins their chain.
+		v.side = append(v.side, SidetableEntry{
+			TargetIP: frame.endFixup,
 			ValCount: uint32(len(frame.endTypes)),
 		})
-		// Branches inside the then-arm that target this label must
-		// still be patched at end; carry their fixups over.
-		nf.endFixups = append(frame.endFixups, elseEntry)
+		nf.endFixup = uint32(elseEntry)
 		// Patch the if's false edge to just after the else opcode.
 		if frame.ifFixup >= 0 {
-			v.info.Sidetable[frame.ifFixup].TargetIP = uint32(v.r.Pos)
-			v.info.Sidetable[frame.ifFixup].TargetSTP = uint32(len(v.info.Sidetable))
+			v.side[frame.ifFixup].TargetIP = uint32(v.r.Pos)
+			v.side[frame.ifFixup].TargetSTP = uint32(len(v.side))
 		}
 	case wasm.OpEnd:
 		frame, err := v.popCtrl()
@@ -516,14 +565,15 @@ func (v *validator) instr(op wasm.Opcode) error {
 			}
 		}
 		endIP := uint32(v.r.Pos)
-		endSTP := uint32(len(v.info.Sidetable))
+		endSTP := uint32(len(v.side))
 		if frame.op == wasm.OpIf && !frame.hasElse && frame.ifFixup >= 0 {
-			v.info.Sidetable[frame.ifFixup].TargetIP = endIP
-			v.info.Sidetable[frame.ifFixup].TargetSTP = endSTP
+			v.side[frame.ifFixup].TargetIP = endIP
+			v.side[frame.ifFixup].TargetSTP = endSTP
 		}
-		for _, fixup := range frame.endFixups {
-			v.info.Sidetable[fixup].TargetIP = endIP
-			v.info.Sidetable[fixup].TargetSTP = endSTP
+		for fixup := frame.endFixup; fixup != noFixup; {
+			e := &v.side[fixup]
+			fixup = e.TargetIP
+			e.TargetIP, e.TargetSTP = endIP, endSTP
 		}
 		// The end of the outermost frame is the function return; no
 		// sidetable entry needed, the interpreter returns directly.
@@ -572,12 +622,20 @@ func (v *validator) instr(op wasm.Opcode) error {
 		if _, err := v.popExpect(wasm.I32); err != nil {
 			return err
 		}
-		targets := make([]uint32, n+1)
-		for i := range targets {
-			if targets[i], err = v.r.U32(); err != nil {
+		// Every target takes at least one byte, which bounds the vector
+		// before it is sized from an attacker-chosen count.
+		if int64(n) >= int64(v.r.Len()) {
+			return wasm.ErrUnexpectedEOF
+		}
+		targets := v.targets[:0]
+		for i := uint32(0); i <= n; i++ {
+			depth, err := v.r.U32()
+			if err != nil {
 				return err
 			}
+			targets = append(targets, depth)
 		}
+		v.targets = targets
 		// All targets must agree on arity; validate against the
 		// default's label types.
 		def, err := v.frameAt(targets[n])
@@ -620,6 +678,7 @@ func (v *validator) instr(op wasm.Opcode) error {
 		if err != nil {
 			return v.fail("%v", err)
 		}
+		v.callees = append(v.callees, idx)
 		if err := v.popVals(ft.Params); err != nil {
 			return err
 		}
@@ -639,6 +698,7 @@ func (v *validator) instr(op wasm.Opcode) error {
 		if int(typeIdx) >= len(v.m.Types) {
 			return v.fail("call_indirect: type %d out of range", typeIdx)
 		}
+		v.writes = true // unknown callee
 		if _, err := v.popExpect(wasm.I32); err != nil {
 			return err
 		}
@@ -792,7 +852,8 @@ func (v *validator) instr(op wasm.Opcode) error {
 }
 
 // memCheck verifies memory presence and alignment immediates for simple
-// instructions that touch memory, and consumes their immediates.
+// instructions that touch memory, consumes their immediates, and notes
+// the ones that can modify memory in v.writes.
 func (v *validator) memCheck(op wasm.Opcode) error {
 	switch op.Imm() {
 	case wasm.ImmMem:
@@ -809,12 +870,18 @@ func (v *validator) memCheck(op wasm.Opcode) error {
 		if align > naturalAlign(op) {
 			return v.fail("%v alignment 2^%d exceeds natural alignment", op, align)
 		}
+		if op >= wasm.OpI32Store { // the stores are the last ImmMem opcodes
+			v.writes = true
+		}
 	case wasm.ImmMemOnly, wasm.ImmOneMem:
 		if _, err := v.r.Byte(); err != nil {
 			return err
 		}
 		if v.numMemories == 0 {
 			return v.fail("%v without declared memory", op)
+		}
+		if op != wasm.OpMemorySize { // memory.grow, memory.fill
+			v.writes = true
 		}
 	case wasm.ImmTwoMem:
 		if _, err := v.r.Byte(); err != nil {
@@ -826,6 +893,7 @@ func (v *validator) memCheck(op wasm.Opcode) error {
 		if v.numMemories == 0 {
 			return v.fail("%v without declared memory", op)
 		}
+		v.writes = true // memory.copy
 	case wasm.ImmI32:
 		if _, err := v.r.S32(); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package validate_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,5 +252,108 @@ func TestExportIndexChecks(t *testing.T) {
 	m.Exports = append(m.Exports, wasm.Export{Name: "x", Kind: wasm.ImportFunc, Idx: 42})
 	if _, err := validate.Module(m); err == nil {
 		t.Error("expected export index error")
+	}
+}
+
+// TestWrappedPrefixOpcodeRejected: FC EA FE 03 is the 0xFC sub-opcode
+// 0xFF6A; folded into a uint16 it used to wrap onto i32.add, so this
+// body validated (and every tier ran it as 1+2).
+func TestWrappedPrefixOpcodeRejected(t *testing.T) {
+	expectErr(t, "sub-opcode", func(b *wasm.Builder) {
+		f := b.NewFunc("f", wasm.FuncType{Results: []wasm.ValueType{wasm.I32}})
+		f.I32Const(1).I32Const(2).Raw(wasm.PrefixFC, 0xEA, 0xFE, 0x03).End()
+	})
+}
+
+// TestBrTableCountBounded: a br_table whose target count exceeds the
+// bytes left in the body is an error before the vector is sized — a
+// count of 2^32-1 used to index an empty slice, one of 2^32-2 to ask for
+// 16 GiB.
+func TestBrTableCountBounded(t *testing.T) {
+	for _, n := range []uint32{0xFFFFFFFF, 0xFFFFFFFE, 1 << 20} {
+		_, err := validate.Module(mod(t, func(b *wasm.Builder) {
+			f := b.NewFunc("f", wasm.FuncType{})
+			f.I32Const(0).Raw(byte(wasm.OpBrTable)).Raw(wasm.AppendU32(nil, n)...).Raw(0, 0).End()
+		}))
+		if err == nil {
+			t.Errorf("br_table with %d targets in a 4-byte tail validated", n)
+		}
+	}
+}
+
+// TestSidetableEndFixups: every forward branch to one label — from the
+// then-arm, carried across the else, from the else-arm, and the else's
+// own skip entry — is patched to the same end, and a nested block's
+// branches to its own end are not disturbed by it.
+func TestSidetableEndFixups(t *testing.T) {
+	var body []byte
+	infos := expectOK(t, func(b *wasm.Builder) {
+		f := b.NewFunc("f", wasm.FuncType{Params: []wasm.ValueType{wasm.I32}})
+		f.LocalGet(0)
+		f.If(wasm.BlockEmpty) // entry 0: false edge
+		f.LocalGet(0).BrIf(0) // entry 1: to the if's end
+		f.Block(wasm.BlockEmpty)
+		f.LocalGet(0).BrIf(0) // entry 2: to the inner block's end
+		f.LocalGet(0).BrIf(1) // entry 3: to the if's end
+		f.End()
+		f.Else()              // entry 4: skip the else-arm
+		f.LocalGet(0).BrIf(0) // entry 5: to the if's end
+		f.End()
+		f.End()
+		f.Finish()
+		body = f.Body()
+	})
+	st := infos[0].Sidetable
+	if len(st) != 6 {
+		t.Fatalf("sidetable has %d entries, want 6", len(st))
+	}
+	ifEnd := uint32(len(body) - 1) // just past the if's end, at the function's
+	for _, i := range []int{1, 3, 4, 5} {
+		if st[i].TargetIP != ifEnd || st[i].TargetSTP != 6 {
+			t.Errorf("entry %d targets ip %d stp %d, want %d and 6", i, st[i].TargetIP, st[i].TargetSTP, ifEnd)
+		}
+	}
+	if st[2].TargetIP >= st[4].TargetIP || st[2].TargetSTP != 4 {
+		t.Errorf("inner block's branch targets ip %d stp %d, want before the else and 4", st[2].TargetIP, st[2].TargetSTP)
+	}
+	if st[0].TargetSTP != 5 {
+		t.Errorf("false edge TargetSTP = %d, want 5", st[0].TargetSTP)
+	}
+}
+
+// TestValidatorReuseKeepsFuncInfosApart: one validator walks all of a
+// module's functions through shared buffers, so each FuncInfo must own
+// exact-size copies that a later function's walk cannot overwrite.
+func TestValidatorReuseKeepsFuncInfosApart(t *testing.T) {
+	build := func(n int) func(b *wasm.Builder) {
+		return func(b *wasm.Builder) {
+			for i := 0; i < n; i++ {
+				f := b.NewFunc("", wasm.FuncType{Params: []wasm.ValueType{wasm.I32}})
+				for j := 0; j <= i; j++ {
+					f.Block(wasm.BlockEmpty).LocalGet(0).BrIf(0).End()
+				}
+				if i > 0 {
+					f.LocalGet(0).Call(uint32(i - 1))
+				}
+				f.End()
+			}
+		}
+	}
+	infos := expectOK(t, build(4))
+	for i := range infos {
+		fi := &infos[i]
+		alone, err := validate.Function(mod(t, build(i+1)), &mod(t, build(i+1)).Funcs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fi.Sidetable) != i+1 || !reflect.DeepEqual(fi, alone) {
+			t.Errorf("func %d: shared-validator info %+v differs from a fresh walk %+v", i, fi, alone)
+		}
+		if cap(fi.Sidetable) != len(fi.Sidetable) || cap(fi.Owners) != len(fi.Owners) || cap(fi.Callees) != len(fi.Callees) {
+			t.Errorf("func %d: FuncInfo slices keep spare capacity", i)
+		}
+	}
+	if infos[0].Callees != nil || !reflect.DeepEqual(infos[3].Callees, []uint32{2}) {
+		t.Errorf("callees = %v, %v", infos[0].Callees, infos[3].Callees)
 	}
 }

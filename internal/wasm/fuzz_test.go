@@ -24,6 +24,19 @@ func seedModules(f *testing.F) {
 		}
 	}
 	f.Add(workloads.Mnop())
+	f.Add(wrappedPrefixModule())
+}
+
+// wrappedPrefixModule is i32.const 1; i32.const 2; FC EA FE 03; end —
+// the 0xFC sub-opcode 0xFF6A, which once wrapped in uint16 onto i32.add
+// so the body validated and ran. It decodes (bodies are opaque to
+// Decode); validation must reject it.
+func wrappedPrefixModule() []byte {
+	b := wasm.NewBuilder()
+	f := b.NewFunc("f", wasm.FuncType{Results: []wasm.ValueType{wasm.I32}})
+	f.I32Const(1).I32Const(2).Raw(wasm.PrefixFC, 0xEA, 0xFE, 0x03).End()
+	b.Export("f", f.Idx)
+	return b.Encode()
 }
 
 // FuzzDecode: the decoder must reject or accept arbitrary bytes without

@@ -288,7 +288,9 @@ func (r *Reader) SkipImm(op Opcode) error {
 }
 
 // ReadOpcode reads the next opcode, folding 0xFC prefixes into the
-// extended Opcode space.
+// extended Opcode space. A prefixed sub-opcode past the table's 0xFC
+// page is a decode error here, for every tier at once: folded into a
+// uint16 it would wrap onto an unrelated opcode.
 func (r *Reader) ReadOpcode() (Opcode, error) {
 	b, err := r.Byte()
 	if err != nil {
@@ -300,6 +302,9 @@ func (r *Reader) ReadOpcode() (Opcode, error) {
 	sub, err := r.U32()
 	if err != nil {
 		return 0, err
+	}
+	if sub >= uint32(numOpcodes)-uint32(opFCBase) {
+		return 0, fmt.Errorf("wasm: unknown 0xFC sub-opcode %d", sub)
 	}
 	return opFCBase + Opcode(sub), nil
 }

@@ -4,7 +4,10 @@ import "fmt"
 
 // Opcode is a Wasm instruction opcode. Single-byte opcodes use their
 // binary encoding directly; 0xFC-prefixed opcodes are mapped into the
-// 0x100+ range so every instruction has a distinct Opcode value.
+// 0x100+ range so every instruction has a distinct Opcode value. An
+// Opcode indexes opTable directly: every per-opcode question (Known,
+// Imm, Sig, String) is a bounds check and a load, and values past the
+// table answer "unknown" rather than panic.
 type Opcode uint16
 
 // Core single-byte opcodes (Wasm core spec §5.4).
@@ -226,6 +229,11 @@ const (
 
 	OpMemoryCopy Opcode = opFCBase + 10
 	OpMemoryFill Opcode = opFCBase + 11
+
+	// numOpcodes bounds the table: the single-byte page plus the 0xFC
+	// page up to its last assigned sub-opcode. ReadOpcode rejects
+	// prefixed sub-opcodes past it, so no decoded Opcode wraps uint16.
+	numOpcodes = int(OpMemoryFill) + 1
 )
 
 // ImmKind describes the immediate operand(s) an instruction carries in
@@ -254,19 +262,24 @@ const (
 	ImmOneMem            // memory.fill: one 0x00 byte
 )
 
-// opInfo is static per-opcode metadata.
+// opInfo is static per-opcode metadata. The zero value (empty name) is
+// an unassigned opcode.
 type opInfo struct {
 	name string
 	imm  ImmKind
-	// sig describes the stack effect of "simple" instructions whose
-	// types do not depend on context: params consumed (top of stack
-	// last) and results produced. Context-dependent instructions
-	// (control flow, locals, calls, parametric) leave both nil.
+	// params and results describe the stack effect of "simple"
+	// instructions whose types do not depend on context: params consumed
+	// (top of stack last) and results produced. Context-dependent
+	// instructions (control flow, locals, calls, parametric) leave both
+	// nil, which is what marks them as not simple.
 	params  []ValueType
 	results []ValueType
 }
 
-var opTable = map[Opcode]opInfo{
+// opTable is dense: one entry per Opcode value below numOpcodes plus a
+// spare zero entry, so the decoder, validator and every compiler reach an
+// instruction's metadata with one index instead of a hashed lookup.
+var opTable = [numOpcodes + 1]opInfo{
 	OpUnreachable:  {name: "unreachable"},
 	OpNop:          {name: "nop"},
 	OpBlock:        {name: "block", imm: ImmBlockType},
@@ -477,39 +490,32 @@ var opTable = map[Opcode]opInfo{
 	OpMemoryFill: {name: "memory.fill", imm: ImmOneMem, params: []ValueType{I32, I32, I32}},
 }
 
-// Known reports whether op is an opcode this implementation supports.
-func (op Opcode) Known() bool {
-	_, ok := opTable[op]
-	return ok
+// info returns op's table entry; every value outside the table shares
+// the spare, never-assigned last slot.
+func (op Opcode) info() *opInfo {
+	if int(op) > numOpcodes {
+		op = Opcode(numOpcodes)
+	}
+	return &opTable[op]
 }
 
-// Imm returns the immediate kind of op.
-func (op Opcode) Imm() ImmKind { return opTable[op].imm }
+// Known reports whether op is an opcode this implementation supports.
+func (op Opcode) Known() bool { return op.info().name != "" }
+
+// Imm returns the immediate kind of op (ImmNone for unknown opcodes).
+func (op Opcode) Imm() ImmKind { return op.info().imm }
 
 // Sig returns the static stack signature of a "simple" instruction, or
 // (nil, nil, false) for context-dependent instructions such as control
 // flow, locals, globals and calls.
 func (op Opcode) Sig() (params, results []ValueType, ok bool) {
-	info, found := opTable[op]
-	if !found || (info.params == nil && info.results == nil) {
-		return nil, nil, false
-	}
-	// Control/parametric opcodes without a static signature are the
-	// ones with nil params and nil results; everything else in the
-	// table is simple.
-	switch op {
-	case OpUnreachable, OpNop, OpBlock, OpLoop, OpIf, OpElse, OpEnd, OpBr,
-		OpBrIf, OpBrTable, OpReturn, OpCall, OpCallIndirect, OpDrop,
-		OpSelect, OpSelectT, OpLocalGet, OpLocalSet, OpLocalTee,
-		OpGlobalGet, OpGlobalSet, OpRefNull, OpRefIsNull, OpRefFunc:
-		return nil, nil, false
-	}
-	return info.params, info.results, true
+	info := op.info()
+	return info.params, info.results, info.params != nil || info.results != nil
 }
 
 func (op Opcode) String() string {
-	if info, ok := opTable[op]; ok {
-		return info.name
+	if name := op.info().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("opcode(0x%x)", uint16(op))
 }

@@ -45,6 +45,21 @@ func (t ValueType) IsRef() bool { return t == FuncRef || t == ExternRef }
 // Valid reports whether t is one of the supported value types.
 func (t ValueType) Valid() bool { return t.IsNum() || t.IsRef() }
 
+var valueTypes = [...]ValueType{I32, I64, F32, F64, FuncRef, ExternRef}
+
+// Single returns the one-element list {t} — the result list of a
+// single-result block type — as a view of a static table, so walking a
+// body allocates nothing per block. The caller must not modify it. An
+// invalid t yields nil.
+func (t ValueType) Single() []ValueType {
+	for i, vt := range valueTypes {
+		if vt == t {
+			return valueTypes[i : i+1 : i+1]
+		}
+	}
+	return nil
+}
+
 func (t ValueType) String() string {
 	switch t {
 	case I32:
