@@ -115,7 +115,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		fmt.Printf("wizgo-fuzz: %d generated + %d mutated modules across %d configs (each rerun after reset): %d divergences\n",
+		fmt.Printf("wizgo-fuzz: %d generated + %d mutated modules across %d configs (each rerun after reset and from a disk-cache artifact): %d divergences\n",
 			sum.Ran, sum.Invalid, len(sum.Configs), sum.Divergences)
 	}
 	if sum.Divergences > 0 {

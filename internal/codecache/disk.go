@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -242,18 +243,6 @@ func (d *DiskStore) Store(k Key, payload []byte) error {
 		return nil
 	}
 
-	w := wbin.NewWriter(len(payload) + 256)
-	w.Raw([]byte(diskMagic))
-	w.U32(diskFormatVersion)
-	w.String(d.opts.Stamp.ISA)
-	w.String(d.opts.Stamp.CompilerRevision)
-	w.Raw(k.Hash[:])
-	w.String(k.Config)
-	w.Uvarint(uint64(len(payload)))
-	w.Raw(payload)
-	sum := sha256.Sum256(w.Bytes())
-	w.Raw(sum[:])
-
 	// CreateTemp opens with O_EXCL under a random suffix, so a crashed
 	// writer's leftover temp never blocks a retry; leftovers are garbage
 	// in the cache dir, not corruption.
@@ -262,7 +251,27 @@ func (d *DiskStore) Store(k Key, payload []byte) error {
 		return fmt.Errorf("codecache: writing artifact: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(w.Bytes()); err != nil {
+
+	// Header, payload and digest stream through one hash into the file:
+	// the payload is megabytes and is never copied.
+	hdr := wbin.NewWriter(256)
+	hdr.Raw([]byte(diskMagic))
+	hdr.U32(diskFormatVersion)
+	hdr.String(d.opts.Stamp.ISA)
+	hdr.String(d.opts.Stamp.CompilerRevision)
+	hdr.Raw(k.Hash[:])
+	hdr.String(k.Config)
+	hdr.Uvarint(uint64(len(payload)))
+	h := sha256.New()
+	out := io.MultiWriter(tmp, h)
+	_, err = out.Write(hdr.Bytes())
+	if err == nil {
+		_, err = out.Write(payload)
+	}
+	if err == nil {
+		_, err = tmp.Write(h.Sum(nil))
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("codecache: writing artifact: %w", err)

@@ -9,8 +9,10 @@
 // rewriting interpreter, single-pass compiler, the tiered pipeline that
 // transitions between them, the copy-and-patch compiler and the
 // optimizing pipeline — for one Wasm semantics. Any observable
-// difference between two configurations, or between a fresh instance
-// and the same instance after a pooled reset, is a bug by construction,
+// difference between two configurations, between a fresh instance and
+// the same instance after a pooled reset, or between freshly compiled
+// code and the same code loaded back from a disk-cache artifact, is a
+// bug by construction,
 // which makes random differential testing the highest-leverage
 // correctness tool the repo has: no hand-written expectations, just
 // agreement.
@@ -28,9 +30,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
 	"strings"
 	"time"
 
+	"wizgo/internal/codecache"
 	"wizgo/internal/engine"
 	"wizgo/internal/engines"
 	"wizgo/internal/rt"
@@ -182,20 +186,21 @@ func (o *Oracle) Configs() []string {
 
 // Run executes g under every matrix configuration and compares the
 // canonical outcomes, after each configuration has agreed with itself
-// across a reset (see execute). A nil Divergence means all of it agreed
-// (or some run crossed the deadline, making the module incomparable).
+// across a reset and across a disk-cache round trip (see execute). A nil
+// Divergence means all of it agreed (or some run crossed the deadline,
+// making the module incomparable).
 func (o *Oracle) Run(g Generated) ([]EngineOutcome, *Divergence) {
 	outs := make([]EngineOutcome, len(o.engines))
-	for i, e := range o.engines {
-		out, rerun, detail := o.execute(e, g)
+	for i := range o.engines {
+		out, again, leg, detail := o.execute(i, g)
 		outs[i] = EngineOutcome{Config: o.cfgs[i].Name, Outcome: out}
-		if out.Interrupted || rerun.Interrupted {
+		if out.Interrupted || again.Interrupted {
 			return outs, nil
 		}
 		if detail != "" {
-			after := o.cfgs[i].Name + " after reset"
-			outs = append(outs[:i+1], EngineOutcome{Config: after, Outcome: rerun})
-			return outs, &Divergence{Seed: g.Seed, ConfigA: o.cfgs[i].Name, ConfigB: after, Detail: detail, Outcomes: outs}
+			other := o.cfgs[i].Name + " " + leg
+			outs = append(outs[:i+1], EngineOutcome{Config: other, Outcome: again})
+			return outs, &Divergence{Seed: g.Seed, ConfigA: o.cfgs[i].Name, ConfigB: other, Detail: detail, Outcomes: outs}
 		}
 	}
 	if d := Compare(outs); d != nil {
@@ -212,24 +217,34 @@ func (o *Oracle) Diverges(g Generated) bool {
 	return d != nil
 }
 
-// execute runs one module under one engine and captures its canonical
-// outcome, then crosses the path a pooled instance takes: the instance
-// is reset to its post-instantiation snapshot and the calls run again.
-// The reset must restore the post-instantiation state, and the rerun's
-// outcome must equal the first; detail describes the first violation.
-// This is the differential check on the writes-memory analysis: Reset
-// skips the memory restore when every call was proven read-only, so a
-// function wrongly proven read-only leaks its writes past the reset.
-func (o *Oracle) execute(e *engine.Engine, g Generated) (out, rerun Outcome, detail string) {
-	cm, err := e.Compile(g.Bytes)
+// The two legs execute crosses besides the fresh run; they name the
+// second side of a Divergence ("<cfg> after reset", "<cfg> from disk").
+const (
+	legReset = "after reset"
+	legDisk  = "from disk"
+)
+
+// execute runs one module under configuration i and captures its
+// canonical outcome, then crosses the two other paths a served module
+// takes. Reset leg: the instance is reset to its post-instantiation
+// snapshot the way a pool does and the calls run again; the reset must
+// restore the post-instantiation state, and the rerun's outcome must
+// equal the first. This is the differential check on the writes-memory
+// analysis: Reset skips the memory restore when every call was proven
+// read-only, so a function wrongly proven read-only leaks its writes
+// past the reset. Disk leg: see fromDisk. again is the outcome of the
+// leg that disagreed (or of the last one run) and detail describes the
+// first violation.
+func (o *Oracle) execute(i int, g Generated) (out, again Outcome, leg, detail string) {
+	cm, err := o.engines[i].Compile(g.Bytes)
 	if err != nil {
 		out.Rejected, out.RejectPhase, out.RejectErr = true, "compile", err.Error()
-		return out, out, ""
+		return out, out, "", ""
 	}
 	inst, err := cm.Instantiate()
 	if err != nil {
 		out.Rejected, out.RejectPhase, out.RejectErr = true, "instantiate", err.Error()
-		return out, out, ""
+		return out, out, "", ""
 	}
 	defer inst.Release()
 
@@ -243,20 +258,67 @@ func (o *Oracle) execute(e *engine.Engine, g Generated) (out, rerun Outcome, det
 
 	out = o.runCalls(inst, g.Calls)
 	if out.Interrupted {
-		return out, out, ""
+		return out, out, "", ""
 	}
 	if err := inst.Reset(snap); err != nil {
-		return out, out, "reset: " + err.Error()
+		return out, out, legReset, "reset: " + err.Error()
 	}
 	restored.captureState(inst.RT)
 	if d := diffOutcome(fresh, restored); d != "" {
-		return out, restored, "reset did not restore the post-instantiation state: " + d
+		return out, restored, legReset, "reset did not restore the post-instantiation state: " + d
 	}
-	rerun = o.runCalls(inst, g.Calls)
-	if !rerun.Interrupted {
-		detail = diffOutcome(out, rerun)
+	again = o.runCalls(inst, g.Calls)
+	if again.Interrupted {
+		return out, again, "", ""
 	}
-	return out, rerun, detail
+	if d := diffOutcome(out, again); d != "" {
+		return out, again, legReset, d
+	}
+
+	again, detail = o.fromDisk(o.cfgs[i], g)
+	if detail == "" && !again.Interrupted {
+		detail = diffOutcome(out, again)
+	}
+	return out, again, legDisk, detail
+}
+
+// fromDisk crosses the path a restarted server takes: one engine
+// compiles the module with a disk cache attached (writing the artifact),
+// a second engine that has never seen the module opens the same
+// directory and must be served from it without invoking the compiler,
+// and the rehydrated module is instantiated and run. Code that changes
+// meaning across encode → checksum → decode — a field the format drops,
+// a delta that wraps, a check that rejects valid code — shows up as a
+// compiler invocation or as an outcome that differs from the fresh run.
+func (o *Oracle) fromDisk(cfg engine.Config, g Generated) (out Outcome, detail string) {
+	dir, err := os.MkdirTemp("", "wizgo-oracle-")
+	if err != nil {
+		return out, "disk leg: " + err.Error()
+	}
+	defer os.RemoveAll(dir)
+
+	var e *engine.Engine
+	var cm *engine.CompiledModule
+	for _, pass := range []string{"store", "load"} {
+		cfg.Cache = codecache.New(codecache.Options{})
+		if cfg.DiskCache, err = engine.OpenDiskCache(dir); err != nil {
+			return out, "disk leg: " + err.Error()
+		}
+		e = engine.New(cfg, nil)
+		if cm, err = e.Compile(g.Bytes); err != nil {
+			return out, fmt.Sprintf("disk leg: %s pass rejected a module the fresh run compiled: %v", pass, err)
+		}
+	}
+	if st := cfg.DiskCache.Stats(); st.Hits != 1 || e.CompileCalls() != 0 {
+		return out, fmt.Sprintf("disk leg: second engine was not served from the artifact (disk %+v, %d compiler calls)",
+			st, e.CompileCalls())
+	}
+	inst, err := cm.Instantiate()
+	if err != nil {
+		return out, "disk leg: instantiate: " + err.Error()
+	}
+	defer inst.Release()
+	return o.runCalls(inst, g.Calls), ""
 }
 
 // runCalls invokes every call of the workload on inst and captures the

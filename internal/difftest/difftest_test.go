@@ -2,8 +2,11 @@ package difftest
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"wizgo/internal/codecache"
+	"wizgo/internal/faultinject"
 	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 )
@@ -56,6 +59,31 @@ func TestCrossExecutionAgrees(t *testing.T) {
 		if d != nil {
 			t.Fatalf("%v\n%s", d, OutcomeTable(outs))
 		}
+	}
+}
+
+// TestDiskLegReportsUnservedArtifact: the disk leg is only worth its
+// cost if a broken round trip surfaces as a Divergence the minimizer can
+// shrink. Bit rot injected under the second engine's load makes it
+// recompile instead of rehydrating; the oracle must say so, naming the
+// configuration against itself "from disk".
+func TestDiskLegReportsUnservedArtifact(t *testing.T) {
+	o := NewOracle()
+	g := Generate(3, GenConfig{})
+	if outs, d := o.Run(g); d != nil {
+		t.Fatalf("clean run diverged: %v\n%s", d, OutcomeTable(outs))
+	}
+	defer faultinject.Arm(codecache.PointDiskChecksum, faultinject.Fault{})()
+	outs, d := o.Run(g)
+	if d == nil {
+		t.Fatal("a corrupted artifact went unreported")
+	}
+	first := o.Configs()[0]
+	if d.ConfigA != first || d.ConfigB != first+" from disk" || !strings.Contains(d.Detail, "not served from the artifact") {
+		t.Errorf("divergence %s vs %s: %s", d.ConfigA, d.ConfigB, d.Detail)
+	}
+	if last := outs[len(outs)-1]; last.Config != d.ConfigB {
+		t.Errorf("outcome table ends with %q, want the disk leg's row", last.Config)
 	}
 }
 

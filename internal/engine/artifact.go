@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -18,14 +18,15 @@ import (
 )
 
 // CompilerRevision stamps every persisted artifact. Bump it whenever
-// compiled output changes shape or meaning — new opcodes, changed frame
-// layout, changed sidetable semantics — and every stale artifact in
-// every cache directory is evicted on its next load instead of
-// executing under wrong assumptions. The analysis version is folded in
+// compiled output or its stored form changes shape or meaning — new
+// opcodes, changed frame layout, changed sidetable semantics, a changed
+// record encoding — and every stale artifact in every cache directory
+// is evicted on its next load instead of executing under wrong
+// assumptions. The analysis version is folded in
 // because the serialized read-only bit licenses skipping the memory
 // reset: an artifact produced under different analysis rules must
 // self-invalidate.
-const CompilerRevision = "wizgo-codegen-4+analysis-" + analysis.Version
+const CompilerRevision = "wizgo-codegen-5+analysis-" + analysis.Version
 
 // DiskStamp returns the producer identity for this build: the host ISA
 // (MachCode is portable, but a real JIT cache is ISA-keyed, and keeping
@@ -65,10 +66,6 @@ var errUncacheableCode = errors.New("engine: code type has no artifact serializa
 // decoded structure is, so a cold load never re-parses the binary:
 // function bodies rehydrate as offsets into the module bytes.
 func encodeArtifact(cm *CompiledModule) ([]byte, error) {
-	w := wbin.NewWriter(1024 + 64*len(cm.Infos))
-
-	wasm.AppendSkeleton(w, cm.Module)
-
 	// Section headers carry exact bulk totals so the decoder can
 	// allocate each kind of storage once, up front, and sub-slice per
 	// function (see mach.DecodeArena): a cold process's rehydration
@@ -79,18 +76,6 @@ func encodeArtifact(cm *CompiledModule) ([]byte, error) {
 		totST += len(cm.Infos[i].Sidetable)
 		totInfoTypes += len(cm.Infos[i].LocalTypes) + len(cm.Infos[i].Results)
 	}
-	w.Uvarint(uint64(len(cm.Infos)))
-	w.Uvarint(uint64(totST))
-	w.Uvarint(uint64(totInfoTypes))
-	for i := range cm.Infos {
-		encodeFuncInfo(w, &cm.Infos[i])
-	}
-
-	if cm.Codes == nil {
-		w.Bool(false)
-		return w.Bytes(), nil
-	}
-	w.Bool(true)
 	var nMach, machInstrs, machTypes int
 	var nRw, rwInstrs, rwTypes int
 	for _, code := range cm.Codes {
@@ -105,6 +90,28 @@ func encodeArtifact(cm *CompiledModule) ([]byte, error) {
 			rwTypes += len(c.LocalTypes)
 		}
 	}
+	// The same totals size the writer: a record averages 4-5 bytes, a
+	// function's headers and skeleton entry a few dozen. An
+	// underestimate only costs an append growth.
+	w := wbin.NewWriter(1024 + 96*len(cm.Infos) + 6*(totST+machInstrs+rwInstrs) +
+		totInfoTypes + machTypes + rwTypes)
+
+	wasm.AppendSkeleton(w, cm.Module)
+
+	w.Uvarint(uint64(len(cm.Infos)))
+	w.Uvarint(uint64(totST))
+	w.Uvarint(uint64(totInfoTypes))
+	for i := range cm.Infos {
+		if err := encodeFuncInfo(w, &cm.Infos[i]); err != nil {
+			return nil, err
+		}
+	}
+
+	if cm.Codes == nil {
+		w.Bool(false)
+		return w.Bytes(), nil
+	}
+	w.Bool(true)
 	for _, n := range []int{nMach, machInstrs, machTypes, nRw, rwInstrs, rwTypes} {
 		w.Uvarint(uint64(n))
 	}
@@ -153,7 +160,7 @@ func (e *Engine) decodeArtifact(bytes []byte, payload []byte) (*CompiledModule, 
 	// remaining payload (Count) so corrupt totals cannot provoke a
 	// runaway allocation; a lying total merely exhausts the arena and
 	// the decoders fall back to plain makes.
-	totST := r.Count(sidetableRecordSize)
+	totST := r.Count(wbin.MinRecordLen)
 	ia := infoArena{
 		st:     make([]validate.SidetableEntry, 0, totST),
 		owners: make([]uint32, 0, totST),
@@ -173,11 +180,11 @@ func (e *Engine) decodeArtifact(bytes []byte, payload []byte) (*CompiledModule, 
 	}
 
 	if hasCodes := r.Bool(); hasCodes {
-		// Count-validated totals size the per-kind arenas; each instr
-		// record is at least 8 bytes on disk, so Count(8) bounds the
-		// arena against the payload even for corrupt totals.
-		nMach, machInstrs, machTypes := r.Count(1), r.Count(8), r.Count(1)
-		nRw, rwInstrs, rwTypes := r.Count(1), r.Count(8), r.Count(1)
+		// Count-validated totals size the per-kind arenas; an instr
+		// record is at least MinRecordLen bytes on disk, which bounds
+		// the arena against the payload even for corrupt totals.
+		nMach, machInstrs, machTypes := r.Count(1), r.Count(wbin.MinRecordLen), r.Count(1)
+		nRw, rwInstrs, rwTypes := r.Count(1), r.Count(wbin.MinRecordLen), r.Count(1)
 		var machArena *mach.DecodeArena
 		var rwArena *rewriter.DecodeArena
 		if r.Err() == nil {
@@ -231,29 +238,23 @@ func (e *Engine) decodeArtifact(bytes []byte, payload []byte) (*CompiledModule, 
 	return cm, nil
 }
 
-// sidetableRecordSize is the fixed on-disk width of one sidetable
-// entry: two little-endian u64 words — (TargetIP | TargetSTP<<32),
-// (ValCount | PopCount<<32). Fixed-width word-packed records keep
-// rehydration a bulk loop of two loads per entry; for interpreter tiers
-// the sidetable IS the artifact, so this is their whole cold-start
-// decode cost.
-const sidetableRecordSize = 2 * 8
-
 // encodeFuncInfo serializes one function's validation output — the
 // sidetable and frame metadata every executor (and the deopt path)
-// needs — so a disk load skips the validation pass too.
-func encodeFuncInfo(w *wbin.Writer, fi *validate.FuncInfo) {
-	w.Uvarint(uint64(len(fi.Sidetable)))
-	b := w.Reserve(sidetableRecordSize * len(fi.Sidetable))
-	for i, st := range fi.Sidetable {
-		rec := b[i*sidetableRecordSize : (i+1)*sidetableRecordSize]
-		binary.LittleEndian.PutUint64(rec[0:], uint64(st.TargetIP)|uint64(st.TargetSTP)<<32)
-		binary.LittleEndian.PutUint64(rec[8:], uint64(st.ValCount)|uint64(st.PopCount)<<32)
+// needs — so a disk load skips the validation pass too. A sidetable
+// entry is one compact record (see wbin.Record) — TargetIP leading,
+// then TargetSTP, ValCount, PopCount — with its owner's bytecode offset
+// as the delta-coded side value; for interpreter tiers the sidetable IS
+// the artifact, so this is their whole cold-start decode cost.
+func encodeFuncInfo(w *wbin.Writer, fi *validate.FuncInfo) error {
+	if len(fi.Owners) != len(fi.Sidetable) {
+		return fmt.Errorf("engine: sidetable has %d owners for %d entries", len(fi.Owners), len(fi.Sidetable))
 	}
-	w.Uvarint(uint64(len(fi.Owners)))
-	b = w.Reserve(4 * len(fi.Owners))
-	for i, o := range fi.Owners {
-		binary.LittleEndian.PutUint32(b[i*4:], o)
+	w.Uvarint(uint64(len(fi.Sidetable)))
+	prev := uint32(0)
+	for i, st := range fi.Sidetable {
+		owner := fi.Owners[i]
+		w.Record(uint64(st.TargetIP), int32(st.TargetSTP), int32(st.ValCount), int32(st.PopCount), 0, int32(owner-prev))
+		prev = owner
 	}
 	w.Uvarint(uint64(fi.MaxStack))
 	w.Uvarint(uint64(len(fi.LocalTypes)))
@@ -269,6 +270,7 @@ func encodeFuncInfo(w *wbin.Writer, fi *validate.FuncInfo) {
 	// The read-only bit rides in the artifact so a disk-cache load keeps
 	// the reset skip without rerunning the analysis.
 	w.Bool(fi.ReadOnly)
+	return nil
 }
 
 // infoArena holds the artifact-wide bulk storage for FuncInfo decoding,
@@ -308,30 +310,19 @@ func (a *infoArena) takeTypes(n int) []wasm.ValueType {
 }
 
 func decodeFuncInfo(r *wbin.Reader, fi *validate.FuncInfo, arena *infoArena) error {
-	nST := r.Count(sidetableRecordSize)
-	if nST > 0 {
+	if nST := r.Count(wbin.MinRecordLen); nST > 0 {
 		fi.Sidetable = arena.takeST(nST)
-		if b := r.Take(sidetableRecordSize * nST); b != nil {
-			for i := range fi.Sidetable {
-				w0 := binary.LittleEndian.Uint64(b[0:])
-				w1 := binary.LittleEndian.Uint64(b[8:])
-				b = b[sidetableRecordSize:]
-				fi.Sidetable[i] = validate.SidetableEntry{
-					TargetIP:  uint32(w0),
-					TargetSTP: uint32(w0 >> 32),
-					ValCount:  uint32(w1),
-					PopCount:  uint32(w1 >> 32),
-				}
+		fi.Owners = arena.takeOwners(nST)
+		owner := uint32(0)
+		for i := range fi.Sidetable {
+			ip, stp, val, pop, _, d := r.Record()
+			if ip > math.MaxUint32 {
+				return fmt.Errorf("engine: artifact sidetable target %d out of range", ip)
 			}
-		}
-	}
-	nOwn := r.Count(4)
-	if nOwn > 0 {
-		fi.Owners = arena.takeOwners(nOwn)
-		if b := r.Take(4 * nOwn); b != nil {
-			for i := range fi.Owners {
-				fi.Owners[i] = binary.LittleEndian.Uint32(b[i*4:])
-			}
+			owner += uint32(d)
+			st := &fi.Sidetable[i]
+			st.TargetIP, st.TargetSTP, st.ValCount, st.PopCount = uint32(ip), uint32(stp), uint32(val), uint32(pop)
+			fi.Owners[i] = owner
 		}
 	}
 	fi.MaxStack = int(r.Uvarint())
@@ -352,10 +343,6 @@ func decodeFuncInfo(r *wbin.Reader, fi *validate.FuncInfo, arena *infoArena) err
 	fi.ReadOnly = r.Bool()
 	if err := r.Err(); err != nil {
 		return err
-	}
-	if len(fi.Owners) != len(fi.Sidetable) {
-		return fmt.Errorf("engine: artifact sidetable has %d owners for %d entries",
-			len(fi.Owners), len(fi.Sidetable))
 	}
 	if fi.NumParams > len(fi.LocalTypes) {
 		return fmt.Errorf("engine: artifact declares %d params over %d locals",

@@ -1,7 +1,6 @@
 package mach
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,19 +9,11 @@ import (
 	"wizgo/internal/wbin"
 )
 
-// instrRecordSize is the fixed on-disk width of one instruction: three
-// little-endian u64 words — (op | A<<32), (B | C<<32), Imm. Fixed-width
-// (rather than varint) records trade a few KB of artifact size for a
-// branch-free bulk decode loop, and packing into aligned words makes
-// that loop three loads and a few shifts per instruction — instruction
-// materialization is the hot path of a cold start, and the artifact is
-// mmap'd so size is nearly free.
-const instrRecordSize = 3 * 8
-
 // ErrNotSerializable reports a code object carrying per-instance state
 // (probe references, an invalidation in progress) that must never reach
-// a shared artifact. Engine.Compile always compiles probe-free, so
-// hitting this on the cache path is a bug, not an input condition.
+// a shared artifact, or one whose pc map does not cover its
+// instructions. Engine.Compile always compiles probe-free, so hitting
+// this on the cache path is a bug, not an input condition.
 var ErrNotSerializable = errors.New("mach: code with instance state is not serializable")
 
 // AppendTo serializes the code object for the persistent artifact
@@ -31,25 +22,22 @@ var ErrNotSerializable = errors.New("mach: code with instance state is not seria
 // stream — which is what makes baseline-compiled functions cheap to
 // persist and reload (the copy-and-patch observation).
 func (c *Code) AppendTo(w *wbin.Writer) error {
-	if len(c.Counters) != 0 || len(c.TosProbes) != 0 || c.Invalidated {
+	if len(c.Counters) != 0 || len(c.TosProbes) != 0 || c.Invalidated || len(c.WasmPC) != len(c.Instrs) {
 		return ErrNotSerializable
 	}
 	w.Uvarint(uint64(c.FuncIdx))
 	w.String(c.Name)
 
+	// One compact record per instruction (see wbin.Record); the pc map
+	// rides along as each record's side value, delta-coded, because an
+	// instruction's bytecode offset is almost always a few bytes past
+	// its predecessor's.
 	w.Uvarint(uint64(len(c.Instrs)))
-	b := w.Reserve(instrRecordSize * len(c.Instrs))
-	for i, in := range c.Instrs {
-		rec := b[i*instrRecordSize : (i+1)*instrRecordSize]
-		binary.LittleEndian.PutUint64(rec[0:], uint64(uint16(in.Op))|uint64(uint32(in.A))<<32)
-		binary.LittleEndian.PutUint64(rec[8:], uint64(uint32(in.B))|uint64(uint32(in.C))<<32)
-		binary.LittleEndian.PutUint64(rec[16:], in.Imm)
-	}
-
-	w.Uvarint(uint64(len(c.WasmPC)))
-	b = w.Reserve(4 * len(c.WasmPC))
-	for i, pc := range c.WasmPC {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(pc))
+	prev := int32(0)
+	for i := range c.Instrs {
+		in, pc := &c.Instrs[i], c.WasmPC[i]
+		w.Record(uint64(in.Op), in.A, in.B, in.C, in.Imm, pc-prev)
+		prev = pc
 	}
 
 	// Maps are encoded in sorted key order so one compile always yields
@@ -165,43 +153,45 @@ func (a *DecodeArena) takeTypes(n int) []wasm.ValueType {
 // storage from arena (which may be nil). Every length comes
 // from (possibly corrupt) disk bytes, so it is validated against the
 // remaining input before allocation; structural nonsense surfaces as an
-// error, never a panic. Decoded instruction streams are additionally
-// bounds-checked where cheap (opcodes, branch targets) so a bit-flipped
-// artifact that survives the envelope checksum still cannot send the
-// executor out of bounds.
+// error, never a panic. The instruction stream is bounds-checked as it
+// is decoded — opcodes, every branch target, every br_table index, OSR
+// entries — so an artifact that is wrong under a valid envelope
+// checksum still cannot send the executor's code[pc] out of range.
 func DecodeCode(r *wbin.Reader, arena *DecodeArena) (*Code, error) {
 	c := arena.nextCode()
 	c.FuncIdx = uint32(r.Uvarint())
 	c.Name = r.String()
 
-	nInstr := r.Count(instrRecordSize)
+	nInstr := r.Count(wbin.MinRecordLen)
 	c.Instrs = arena.takeInstrs(nInstr)
-	if b := r.Take(instrRecordSize * nInstr); b != nil {
-		for i := range c.Instrs {
-			w0 := binary.LittleEndian.Uint64(b[0:])
-			w1 := binary.LittleEndian.Uint64(b[8:])
-			w2 := binary.LittleEndian.Uint64(b[16:])
-			b = b[instrRecordSize:]
-			op := Op(uint16(w0))
-			if op >= opCount {
-				return nil, fmt.Errorf("mach: decoded opcode %d out of range", op)
-			}
-			c.Instrs[i] = Instr{
-				Op:  op,
-				A:   int32(uint32(w0 >> 32)),
-				B:   int32(uint32(w1)),
-				C:   int32(uint32(w1 >> 32)),
-				Imm: w2,
+	c.WasmPC = arena.takePCs(nInstr)
+	pc, maxTable := int32(0), int64(-1)
+	for i := range c.Instrs {
+		op, a, b, cc, imm, dpc := r.Record()
+		if op >= uint64(opCount) {
+			return nil, fmt.Errorf("mach: decoded opcode %d out of range", op)
+		}
+		// OJump through the last fused compare-and-branch are one
+		// contiguous opcode range whose Imm is a machine pc, except
+		// OBrTable, whose A indexes Tables (decoded further down).
+		if op-uint64(OJump) <= uint64(OBrI64GeU-OJump) {
+			if Op(op) == OBrTable {
+				maxTable = max(maxTable, int64(uint32(a)))
+			} else if imm >= uint64(nInstr) {
+				return nil, fmt.Errorf("mach: instr %d branch target %d out of range", i, imm)
 			}
 		}
+		pc += dpc
+		// Field by field: assigning an Instr literal builds it on the
+		// stack and copies it with wider loads than the stores that
+		// wrote it, a store-forwarding stall per instruction that cost
+		// more than the decoding.
+		in := &c.Instrs[i]
+		in.Op, in.A, in.B, in.C, in.Imm = Op(op), a, b, cc, imm
+		c.WasmPC[i] = pc
 	}
-
-	nPC := r.Count(4)
-	c.WasmPC = arena.takePCs(nPC)
-	if b := r.Take(4 * nPC); b != nil {
-		for i := range c.WasmPC {
-			c.WasmPC[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 
 	if n := r.Count(2); n > 0 {
@@ -220,15 +210,22 @@ func DecodeCode(r *wbin.Reader, arena *DecodeArena) (*Code, error) {
 		c.Tables = make([][]int32, n)
 		for i := range c.Tables {
 			m := r.Count(1)
+			if m == 0 && r.Err() == nil {
+				// OBrTable clamps its index to len-1.
+				return nil, errors.New("mach: empty br_table vector")
+			}
 			c.Tables[i] = make([]int32, m)
 			for j := range c.Tables[i] {
 				t := r.Varint()
-				if t < 0 || t > int64(len(c.Instrs)) {
+				if t < 0 || t >= int64(len(c.Instrs)) {
 					return nil, fmt.Errorf("mach: br_table target %d out of range", t)
 				}
 				c.Tables[i][j] = int32(t)
 			}
 		}
+	}
+	if maxTable >= int64(len(c.Tables)) {
+		return nil, fmt.Errorf("mach: br_table index %d of %d tables", maxTable, len(c.Tables))
 	}
 
 	if n := r.Count(2); n > 0 {
@@ -256,9 +253,6 @@ func DecodeCode(r *wbin.Reader, arena *DecodeArena) (*Code, error) {
 
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if len(c.WasmPC) != len(c.Instrs) {
-		return nil, fmt.Errorf("mach: pc map covers %d of %d instructions", len(c.WasmPC), len(c.Instrs))
 	}
 	if c.NumSlots < 0 || c.NumResults < 0 || c.NumParams < 0 {
 		return nil, errors.New("mach: negative frame dimension")

@@ -1,32 +1,24 @@
 package rewriter
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"wizgo/internal/wasm"
 	"wizgo/internal/wbin"
 )
 
-// instrRecordSize is the fixed on-disk width of one translated
-// instruction: three little-endian u64 words — (op | A<<32),
-// (B | Target<<32), Imm. Fixed-width word-packed records decode in a
-// branch-free bulk loop of three loads and a few shifts, which is what
-// cold-start rehydration spends its time on (see mach/serialize.go).
-const instrRecordSize = 3 * 8
-
 // AppendTo serializes the translated body for the persistent artifact
 // cache. Like mach code, the format is self-contained: branch targets
 // are absolute indices into the function's own instruction slice.
 func (c *Code) AppendTo(w *wbin.Writer) error {
+	// One compact record per instruction (see wbin.Record), Target in
+	// the third operand; a translated body has no side value.
 	w.Uvarint(uint64(len(c.Instrs)))
-	b := w.Reserve(instrRecordSize * len(c.Instrs))
-	for i, in := range c.Instrs {
-		rec := b[i*instrRecordSize : (i+1)*instrRecordSize]
-		binary.LittleEndian.PutUint64(rec[0:], uint64(uint16(in.Op))|uint64(uint32(in.A))<<32)
-		binary.LittleEndian.PutUint64(rec[8:], uint64(uint32(in.B))|uint64(uint32(in.Target))<<32)
-		binary.LittleEndian.PutUint64(rec[16:], in.Imm)
+	for i := range c.Instrs {
+		in := &c.Instrs[i]
+		w.Record(uint64(in.Op), in.A, in.B, in.Target, in.Imm, 0)
 	}
 	w.Uvarint(uint64(len(c.Tables)))
 	for _, t := range c.Tables {
@@ -97,50 +89,54 @@ func (a *DecodeArena) takeTypes(n int) []wasm.ValueType {
 
 // DecodeCode reconstructs a serialized translated body, drawing bulk
 // storage from arena (which may be nil). Lengths are validated before
-// allocation and branch targets are bounds-checked, so corrupt input
-// yields an error, never a panic or a wild jump.
+// allocation, and every branch target and br_table index is
+// bounds-checked — run indexes code[pc] and Tables[A] unchecked — so
+// corrupt input yields an error, never a panic or a wild jump.
 func DecodeCode(r *wbin.Reader, arena *DecodeArena) (*Code, error) {
 	c := arena.nextCode()
-	nInstr := r.Count(instrRecordSize)
+	nInstr := r.Count(wbin.MinRecordLen)
 	c.Instrs = arena.takeInstrs(nInstr)
-	if b := r.Take(instrRecordSize * nInstr); b != nil {
-		for i := range c.Instrs {
-			w0 := binary.LittleEndian.Uint64(b[0:])
-			w1 := binary.LittleEndian.Uint64(b[8:])
-			w2 := binary.LittleEndian.Uint64(b[16:])
-			b = b[instrRecordSize:]
-			in := Instr{
-				Op:     wasm.Opcode(uint16(w0)),
-				A:      int32(uint32(w0 >> 32)),
-				B:      int32(uint32(w1)),
-				Target: int32(uint32(w1 >> 32)),
-				Imm:    w2,
+	maxTable := int64(-1)
+	for i := range c.Instrs {
+		op, a, b, target, imm, _ := r.Record()
+		if op > math.MaxUint16 {
+			return nil, fmt.Errorf("rewriter: decoded opcode %d out of range", op)
+		}
+		// Field by field, not an Instr literal: see mach.DecodeCode.
+		in := &c.Instrs[i]
+		in.Op, in.A, in.B, in.Target, in.Imm = wasm.Opcode(op), a, b, target, imm
+		// Branch targets are validated here, inside the decode loop,
+		// rather than in a second pass — rehydration traverses the
+		// instruction stream exactly once.
+		switch in.Op {
+		case opBr, opBrIfNZ, opBrIfZ:
+			if in.Target < 0 || int(in.Target) >= nInstr {
+				return nil, fmt.Errorf("rewriter: instr %d branch target %d out of range", i, in.Target)
 			}
-			// Branch targets are validated here, inside the bulk loop,
-			// rather than in a second pass — rehydration traverses the
-			// instruction stream exactly once.
-			switch in.Op {
-			case opBr, opBrIfNZ, opBrIfZ:
-				if in.Target < 0 || int(in.Target) > nInstr {
-					return nil, fmt.Errorf("rewriter: instr %d branch target %d out of range", i, in.Target)
-				}
-			}
-			c.Instrs[i] = in
+		case opBrTableX:
+			maxTable = max(maxTable, int64(uint32(in.A)))
 		}
 	}
 	if n := r.Count(1); n > 0 {
 		c.Tables = make([][]int32, n)
 		for i := range c.Tables {
 			m := r.Count(1)
+			if m == 0 && r.Err() == nil {
+				// opBrTableX clamps its index to len-1.
+				return nil, errors.New("rewriter: empty br_table vector")
+			}
 			c.Tables[i] = make([]int32, m)
 			for j := range c.Tables[i] {
 				t := r.Varint()
-				if t < 0 || t > int64(len(c.Instrs)) {
+				if t < 0 || t >= int64(len(c.Instrs)) {
 					return nil, fmt.Errorf("rewriter: br_table target %d out of range", t)
 				}
 				c.Tables[i][j] = int32(t)
 			}
 		}
+	}
+	if maxTable >= int64(len(c.Tables)) {
+		return nil, fmt.Errorf("rewriter: br_table index %d of %d tables", maxTable, len(c.Tables))
 	}
 	c.NumSlots = int(r.Uvarint())
 	c.NumResults = int(r.Uvarint())

@@ -1,8 +1,16 @@
-// Package wbin is the little-endian wire format shared by the
-// persistent code cache: a tiny append-only writer and an
-// error-latching reader. It exists so every serializer in the artifact
-// pipeline (mach code, rewriter code, validation metadata, the cache
-// envelope itself) agrees on one encoding and one failure discipline.
+// Package wbin is the wire format shared by the persistent code cache:
+// a tiny append-only writer and an error-latching reader. It exists so
+// every serializer in the artifact pipeline (mach code, rewriter code,
+// validation metadata, the cache envelope itself) agrees on one encoding
+// and one failure discipline.
+//
+// Scalars are little-endian fixed-width words or varints. The bulk of an
+// artifact — instruction streams and sidetables — is arrays of small
+// records whose fields are mostly zero or tiny, and those go through the
+// one compact record encoding of record.go. Every byte of an artifact is
+// checksummed before one is interpreted, so its size is paid on every
+// cold load: the compact records are what keeps an artifact near the
+// size of the code it holds.
 //
 // The reader is designed for hostile input — a cache file may be
 // truncated, bit-flipped or written by a different revision — so it
@@ -82,9 +90,8 @@ func (w *Writer) String(s string) {
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Reserve appends n zero bytes and returns them for in-place filling,
-// so fixed-width record encoders can write a whole block without a
-// function call and append per field. The slice is only valid until the
-// next write.
+// so a block of one-byte elements is written without an append per
+// element. The slice is only valid until the next write.
 func (w *Writer) Reserve(n int) []byte {
 	w.buf = append(w.buf, make([]byte, n)...)
 	return w.buf[len(w.buf)-n:]
@@ -259,9 +266,8 @@ func (r *Reader) Raw(n int) []byte {
 
 // Take returns the next n bytes as a view into the input — NOT a copy —
 // and advances past them, or nil (with the error latched) if fewer
-// remain. It exists for fixed-width record blocks, where decoding
-// through per-field reader calls dominates cold-start rehydration;
-// callers must finish decoding the view into their own structures
-// before the backing buffer goes away (e.g. an mmap'd artifact being
-// unmapped).
+// remain. It exists for blocks of one-byte elements, decoded in place
+// of a reader call per element; callers must finish decoding the view
+// into their own structures before the backing buffer goes away (e.g.
+// an mmap'd artifact being unmapped).
 func (r *Reader) Take(n int) []byte { return r.take(n) }
