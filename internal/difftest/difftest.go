@@ -163,8 +163,10 @@ type Oracle struct {
 }
 
 // NewOracle builds the oracle over engines.DifferentialMatrix(). The
-// value stacks are sized down from the engine default: generated
-// functions are small and the matrix holds one stack per configuration.
+// value-stack cap is lowered from the engine default. Stacks grow on
+// demand, so this saves no memory; it only bounds how long a generated
+// module that recurses without end runs before every configuration
+// traps, at the same depth, with stack overflow.
 func NewOracle() *Oracle {
 	o := &Oracle{Deadline: 2 * time.Second}
 	for _, cfg := range engines.DifferentialMatrix() {

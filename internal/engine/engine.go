@@ -106,7 +106,9 @@ type Config struct {
 	CallThreshold int
 	// Tags allocates the value-tag array alongside the value stack.
 	Tags bool
-	// StackSlots sizes the value stack (default 1<<20 slots).
+	// StackSlots caps the value stack (default 1<<20 slots): the depth
+	// at which a call traps with stack overflow. It is a cap, not an
+	// allocation — a stack starts at 4096 slots and doubles on demand.
 	StackSlots int
 	// MaxDepth bounds call nesting (default 10000).
 	MaxDepth int
@@ -162,14 +164,15 @@ type Engine struct {
 	cfg Config
 	// externs is the frozen linker snapshot taken by New.
 	externs map[externKey]rt.Extern
-	// stacks recycles value stacks between instances. Allocating (and,
-	// on reuse, re-zeroing) the multi-megabyte slot and tag arrays is
-	// by far the largest per-instance cost, so a serving loop that
-	// Releases finished instances instantiates in microseconds. Reuse
-	// without zeroing is sound: every executor zeroes and tags declared
-	// locals at frame entry, operand slots are written before they are
-	// read (a validation guarantee), and stack walkers only scan live
-	// frame ranges [VFP, SP).
+	// stacks recycles value stacks between instances. A new stack is
+	// 36 KB (4096 slots and their tags; it grows on demand up to
+	// cfg.StackSlots), a recycled one keeps whatever size it reached, so
+	// a serving loop that Releases finished instances pays neither the
+	// allocation nor the growth again. Reuse without zeroing is sound:
+	// every executor zeroes and tags declared locals at frame entry,
+	// operand slots are written before they are read (a validation
+	// guarantee), and stack walkers only scan live frame ranges
+	// [VFP, SP).
 	stacks sync.Pool
 	// compileCalls counts tier compiler invocations (per function, eager
 	// and lazy alike). The cold-start acceptance check is built on it: a
@@ -447,8 +450,9 @@ func (inst *Instance) invoke(f *rt.FuncInst, argBase int) error {
 		if err := ctx.CheckStack(argBase, len(f.Type.Params)+len(f.Type.Results), f.Idx); err != nil {
 			return err
 		}
-		args := ctx.Stack.Slots[argBase : argBase+len(f.Type.Params)]
-		results := ctx.Stack.Slots[argBase : argBase+len(f.Type.Results)]
+		slots := ctx.Stack.Slots
+		args := slots[argBase : argBase+len(f.Type.Params)]
+		results := slots[argBase : argBase+len(f.Type.Results)]
 		err := callHost(ctx, f, args, results)
 		// Host functions can write linear memory through ctx without the
 		// executors' Mark hooks seeing it; declare the memory dirty so a
@@ -464,6 +468,11 @@ func (inst *Instance) invoke(f *rt.FuncInst, argBase int) error {
 				return err
 			}
 			return rt.NewTrapWrapped(rt.TrapHostError, f.Idx, 0, err)
+		}
+		if len(ctx.Stack.Slots) != len(slots) {
+			// The host re-entered the guest and the stack grew under it:
+			// results points into the array that was replaced.
+			copy(ctx.Stack.Slots[argBase:], results)
 		}
 		if ctx.Stack.Tags != nil {
 			for i, t := range f.Type.Results {
@@ -634,12 +643,10 @@ func (inst *Instance) resumeInterp(f *rt.FuncInst, vfp int) (rt.Status, error) {
 }
 
 // Release returns the instance's value stack to the engine's pool so a
-// future instantiation can reuse it without re-allocating. The instance
-// must be quiescent (no call in progress) and must not be used again
-// afterwards. Calling Release is optional — an instance that is simply
-// dropped is collected normally — but serving loops that release
-// finished instances make CompiledModule.Instantiate a microsecond-scale
-// operation.
+// future instantiation can reuse it, at the size it grew to, without
+// re-allocating. The instance must be quiescent (no call in progress)
+// and must not be used again afterwards. Calling Release is optional —
+// an instance that is simply dropped is collected normally.
 func (inst *Instance) Release() {
 	// The latch must win before the stack is even read: concurrent
 	// releases may otherwise both observe a non-nil stack and pool it

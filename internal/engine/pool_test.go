@@ -720,3 +720,58 @@ func TestPoolPoisonConcurrentServing(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPooledInstanceStaysGrown guards the request path: a stack that
+// grew serving one request must still be grown when the pool hands the
+// instance out again, or every request of that shape pays the growth —
+// doublings and copies — inside its own timed call. pooledDeepCallAllocs
+// is what the same call allocated at the parent commit, where the stack
+// was allocated at its cap up front (the result slice).
+func TestPooledInstanceStaysGrown(t *testing.T) {
+	const (
+		depth                = 3000
+		pooledDeepCallAllocs = 1
+	)
+	b := wasm.NewBuilder()
+	emitSum(b, "sum", 20, false)
+	cm, err := engine.New(engines.WizardSPC(), nil).Compile(b.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := cm.NewPool(1)
+	defer pool.Close()
+	inst, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _ := inst.RT.FuncByName("sum")
+	request := func(inst *engine.Instance) {
+		res, err := inst.CallFunc(sum, wasm.ValI64(depth))
+		if err != nil || res[0].I64() != triangle(depth) {
+			t.Fatalf("sum(%d) = %v, %v", depth, res, err)
+		}
+	}
+	request(inst)
+	stack, grown := inst.Ctx.Stack, len(inst.Ctx.Stack.Slots)
+	if grown == initialStackSlots {
+		t.Fatal("the request did not grow the stack; the test exercises nothing")
+	}
+	pool.Put(inst)
+	again, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != inst {
+		t.Fatal("a pool of one handed out a different instance")
+	}
+	if again.Ctx.Stack != stack || len(again.Ctx.Stack.Slots) != grown {
+		t.Fatalf("Put → Get left a %d-slot stack where the request had grown it to %d",
+			len(again.Ctx.Stack.Slots), grown)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { request(again) }); allocs != pooledDeepCallAllocs {
+		t.Errorf("the repeated request allocates %v times, want %d", allocs, pooledDeepCallAllocs)
+	}
+	if n := len(again.Ctx.Stack.Slots); n != grown {
+		t.Errorf("the repeated request took the stack from %d to %d slots", grown, n)
+	}
+}

@@ -60,11 +60,35 @@ func Call(ctx *rt.Context, f *rt.FuncInst, argBase int) (rt.Status, error) {
 	return Run(ctx, f, argBase, Entry{SP: argBase + len(info.LocalTypes)})
 }
 
+// restack is run's private status: a callee grew the value stack, so
+// the slots and tags run holds are stale and Run must re-enter it.
+const restack rt.Status = 0xFF
+
 // Run executes f's body from the given entry state with frame base vfp.
 // It returns Done when the function returns (results copied down to
 // vfp), or OSRUp when a hot loop back-edge requests tier-up (the frame
 // is canonical; FrameInfo on ctx.Frames carries the resume pc).
 func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, error) {
+	frameIdx := ctx.PushFrame(rt.FrameInfo{
+		Kind: rt.FrameInterp, Func: f, VFP: vfp, SP: entry.SP, PC: entry.PC,
+	})
+	ctx.Depth++
+	defer func() {
+		ctx.Depth--
+		ctx.PopFrame()
+	}()
+	for {
+		if status, err := run(ctx, f, vfp, frameIdx, &entry); status != restack {
+			return status, err
+		}
+	}
+}
+
+// run is the dispatch loop. slots and tags are read once and never
+// reassigned (reloading them after a call, even on a path that never
+// runs, measurably slows the whole switch); when a callee grew the stack
+// run instead stores where it stopped in *entry and returns restack.
+func run(ctx *rt.Context, f *rt.FuncInst, vfp, frameIdx int, entry *Entry) (rt.Status, error) {
 	body := f.Decl.Body
 	info := f.Info
 	st := info.Sidetable
@@ -77,15 +101,6 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 	stp := entry.STP
 	sp := entry.SP
 	nres := len(info.Results)
-
-	frameIdx := ctx.PushFrame(rt.FrameInfo{
-		Kind: rt.FrameInterp, Func: f, VFP: vfp, SP: sp, PC: ip,
-	})
-	ctx.Depth++
-	defer func() {
-		ctx.Depth--
-		ctx.PopFrame()
-	}()
 
 	probes := f.Probes
 	counting := ctx.CountStats
@@ -238,6 +253,10 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 				return rt.Done, err
 			}
 			sp = argBase + len(callee.Type.Results)
+			if len(ctx.Stack.Slots) != len(slots) {
+				*entry = Entry{PC: ip, STP: stp, SP: sp}
+				return restack, nil
+			}
 		case wasm.OpCallIndirect:
 			var typeIdx, tblIdx uint32
 			typeIdx, ip = readU32(body, ip)
@@ -269,6 +288,10 @@ func Run(ctx *rt.Context, f *rt.FuncInst, vfp int, entry Entry) (rt.Status, erro
 				return rt.Done, err
 			}
 			sp = argBase + len(callee.Type.Results)
+			if len(ctx.Stack.Slots) != len(slots) {
+				*entry = Entry{PC: ip, STP: stp, SP: sp}
+				return restack, nil
+			}
 
 		case wasm.OpDrop:
 			sp--

@@ -27,7 +27,45 @@ func (c *Code) RunFrom(ctx *rt.Context, f *rt.FuncInst, vfp, machPC int) (rt.Sta
 }
 
 func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, error) {
+	frameIdx := ctx.PushFrame(rt.FrameInfo{
+		Kind: rt.FrameJIT, Func: f, VFP: vfp, SP: vfp + len(c.LocalTypes),
+	})
+	ctx.Depth++
+	defer func() {
+		ctx.Depth--
+		ctx.PopFrame()
+	}()
+	at := resume{pc: entry}
+	for {
+		if status, err := c.exec(ctx, f, vfp, frameIdx, &at); status != restack {
+			return status, err
+		}
+	}
+}
+
+// restack is exec's private status: a callee grew the value stack, so
+// the slots and tags exec holds are stale and run must re-enter it.
+const restack rt.Status = 0xFF
+
+// resume is where exec starts, and where it stopped on restack: the
+// machine pc and the register file, which is private to the activation
+// — values compiled code keeps in registers across the call exist
+// nowhere else. regs is nil on a fresh entry (all zero) and allocated on
+// the restack path only.
+type resume struct {
+	pc   int
+	regs *[NumRegs]uint64
+}
+
+// exec is the dispatch loop. slots and tags are read once and never
+// reassigned (reloading them after a call, even on a path that never
+// runs, measurably slows the whole switch); when a callee grew the stack
+// exec instead stores where it stopped in *at and returns restack.
+func (c *Code) exec(ctx *rt.Context, f *rt.FuncInst, vfp, frameIdx int, at *resume) (rt.Status, error) {
 	var regs [NumRegs]uint64
+	if at.regs != nil {
+		regs = *at.regs
+	}
 	slots := ctx.Stack.Slots
 	tags := ctx.Stack.Tags
 	inst := ctx.Inst
@@ -38,16 +76,7 @@ func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, 
 	// load, not a ctx field reload per loop iteration.
 	interrupt := ctx.Interrupt
 
-	frameIdx := ctx.PushFrame(rt.FrameInfo{
-		Kind: rt.FrameJIT, Func: f, VFP: vfp, SP: vfp + len(c.LocalTypes),
-	})
-	ctx.Depth++
-	defer func() {
-		ctx.Depth--
-		ctx.PopFrame()
-	}()
-
-	pc := entry
+	pc := at.pc
 	for {
 		in := &code[pc]
 		if counting {
@@ -258,6 +287,11 @@ func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, 
 			if err := ctx.Invoke(callee, argBase); err != nil {
 				return rt.Done, err
 			}
+			if len(ctx.Stack.Slots) != len(slots) {
+				saved := regs
+				*at = resume{pc: pc + 1, regs: &saved}
+				return restack, nil
+			}
 		case OCallIndirect:
 			elem := uint32(regs[in.C])
 			table := inst.Tables[in.Imm]
@@ -285,6 +319,11 @@ func (c *Code) run(ctx *rt.Context, f *rt.FuncInst, vfp, entry int) (rt.Status, 
 			fr.PC = int(c.WasmPC[pc])
 			if err := ctx.Invoke(callee, argBase); err != nil {
 				return rt.Done, err
+			}
+			if len(ctx.Stack.Slots) != len(slots) {
+				saved := regs
+				*at = resume{pc: pc + 1, regs: &saved}
+				return restack, nil
 			}
 		case OReturn:
 			return rt.Done, nil

@@ -22,6 +22,34 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 	for i := c.NumParams; i < len(c.LocalTypes); i++ {
 		slots[vfp+i] = 0
 	}
+	at := resume{sp: vfp + len(c.LocalTypes)}
+
+	frameIdx := ctx.PushFrame(rt.FrameInfo{Kind: rt.FrameInterp, Func: f, VFP: vfp, SP: at.sp})
+	ctx.Depth++
+	defer func() {
+		ctx.Depth--
+		ctx.PopFrame()
+	}()
+	for {
+		if status, err := c.exec(ctx, f, vfp, frameIdx, &at); status != restack {
+			return status, err
+		}
+	}
+}
+
+// restack is exec's private status: a callee grew the value stack, so
+// the slots exec holds are stale and Run must re-enter it.
+const restack rt.Status = 0xFF
+
+// resume is where exec starts, and where it stopped on restack.
+type resume struct{ pc, sp int }
+
+// exec is the dispatch loop. slots is read once and never reassigned
+// (reloading it after a call, even on a path that never runs, measurably
+// slows the whole switch); when a callee grew the stack exec instead
+// stores where it stopped in *at and returns restack.
+func (c *Code) exec(ctx *rt.Context, f *rt.FuncInst, vfp, frameIdx int, at *resume) (rt.Status, error) {
+	slots := ctx.Stack.Slots
 	inst := ctx.Inst
 	mem := inst.Memory
 	code := c.Instrs
@@ -30,15 +58,9 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 	// load, not a ctx field reload.
 	interrupt := ctx.Interrupt
 
-	sp := vfp + len(c.LocalTypes)
-	pc := 0
-
-	frameIdx := ctx.PushFrame(rt.FrameInfo{Kind: rt.FrameInterp, Func: f, VFP: vfp, SP: sp})
-	ctx.Depth++
-	defer func() {
-		ctx.Depth--
-		ctx.PopFrame()
-	}()
+	sp := at.sp
+	pc := at.pc
+	parkHoisted()
 
 	trap := func(kind rt.TrapKind) error {
 		return rt.NewTrap(kind, f.Idx, pc)
@@ -137,6 +159,10 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 				return rt.Done, err
 			}
 			sp = argBase + len(callee.Type.Results)
+			if len(ctx.Stack.Slots) != len(slots) {
+				*at = resume{pc: pc + 1, sp: sp}
+				return restack, nil
+			}
 		case wasm.OpCallIndirect:
 			sp--
 			elem := uint32(slots[sp])
@@ -165,6 +191,10 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 				return rt.Done, err
 			}
 			sp = argBase + len(callee.Type.Results)
+			if len(ctx.Stack.Slots) != len(slots) {
+				*at = resume{pc: pc + 1, sp: sp}
+				return restack, nil
+			}
 
 		case wasm.OpLocalGet:
 			slots[sp] = slots[vfp+int(in.A)]
@@ -343,6 +373,17 @@ func (c *Code) Run(ctx *rt.Context, f *rt.FuncInst, vfp int) (rt.Status, error) 
 		pc++
 	}
 }
+
+// parkHoisted is an empty call between exec's hoisted loads and its
+// loop. A call leaves nothing in registers, so the allocator picks the
+// loop header's register set from what the loop uses soonest (ten
+// values) instead of inheriting all thirteen the prologue happened to
+// end with — and every back-edge reloads the header's set. Without it
+// exec_ms.rewriter read 1.16× the unsplit Run on host-bridge (bound
+// 0.15); with it 0.99×.
+//
+//go:noinline
+func parkHoisted() {}
 
 // transfer moves the top val slots down past pop discarded slots.
 func transfer(slots []uint64, sp, val, pop int) int {

@@ -174,18 +174,60 @@ func (m TagMode) String() string {
 // a slot array and a parallel tag array. Wizard keeps tags out-of-line
 // (a separate array rather than interleaved) so that slot accesses stay
 // 8-byte aligned; BenchmarkTagLayout in the harness quantifies why.
+//
+// The arrays start small and double on demand up to a hard cap, so an
+// instance that never recurses deeply never pays for (or zeroes) the
+// cap. Growth replaces Slots and Tags: code that holds either across a
+// call must notice (len(Slots) only ever increases) and re-read them.
 type ValueStack struct {
 	Slots []uint64
 	Tags  []wasm.Tag
+
+	// max is the cap in slots; limit is the highest frame end the
+	// current arrays admit, len(Slots)-stackRedZone, precomputed so
+	// Context.CheckStack compares against one field.
+	max   int
+	limit int
 }
 
-// NewValueStack allocates a stack with the given slot capacity.
+const (
+	// initialStackSlots is what a new stack allocates: 32 KB of slots
+	// and 4 KB of tags.
+	initialStackSlots = 4096
+	// stackRedZone is the slack kept above every checked frame.
+	stackRedZone = 64
+)
+
+// NewValueStack makes a stack that may grow to capacity slots.
 func NewValueStack(capacity int, withTags bool) *ValueStack {
-	vs := &ValueStack{Slots: make([]uint64, capacity)}
+	n := min(capacity, initialStackSlots)
+	vs := &ValueStack{Slots: make([]uint64, n), max: capacity, limit: n - stackRedZone}
 	if withTags {
-		vs.Tags = make([]wasm.Tag, capacity)
+		vs.Tags = make([]wasm.Tag, n)
 	}
 	return vs
+}
+
+// grow doubles the arrays until a frame ending at need fits, clamped to
+// the cap, and reports whether it does. Contents are preserved.
+func (vs *ValueStack) grow(need int) bool {
+	if need > vs.max-stackRedZone {
+		return false
+	}
+	n := len(vs.Slots)
+	for n-stackRedZone < need {
+		n = min(2*n, vs.max)
+	}
+	slots := make([]uint64, n)
+	copy(slots, vs.Slots)
+	vs.Slots = slots
+	if vs.Tags != nil {
+		tags := make([]wasm.Tag, n)
+		copy(tags, vs.Tags)
+		vs.Tags = tags
+	}
+	vs.limit = n - stackRedZone
+	return true
 }
 
 // Write-tracking granularity: instance-pool reset copies back snapshot
@@ -795,10 +837,21 @@ func (ctx *Context) PopFrame() {
 	ctx.Frames = ctx.Frames[:len(ctx.Frames)-1]
 }
 
-// CheckStack verifies that a frame needing slots fits below the stack
-// limit, returning a stack-overflow trap otherwise.
+// CheckStack verifies that a frame of slots slots at base fits the value
+// stack (growing it if its cap allows) and the call depth, returning a
+// stack-overflow trap otherwise. It must stay inlinable — every guest
+// and host call runs it — which is why the limit is a precomputed field
+// and the slow path takes two arguments; TestCheckStackInlines holds it.
 func (ctx *Context) CheckStack(base, slots int, funcIdx uint32) error {
-	if base+slots+64 > len(ctx.Stack.Slots) || ctx.Depth >= ctx.MaxDepth {
+	if base+slots > ctx.Stack.limit || ctx.Depth >= ctx.MaxDepth {
+		return ctx.growOrTrap(base+slots, funcIdx)
+	}
+	return nil
+}
+
+//go:noinline
+func (ctx *Context) growOrTrap(need int, funcIdx uint32) error {
+	if ctx.Depth >= ctx.MaxDepth || !ctx.Stack.grow(need) {
 		return NewTrap(TrapStackOverflow, funcIdx, 0)
 	}
 	return nil
