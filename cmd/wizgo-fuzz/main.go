@@ -1,9 +1,19 @@
 // Command wizgo-fuzz drives the differential testing engine from the
-// command line: it generates structure-aware modules (internal/difftest)
-// and cross-executes each one through every engines.DifferentialMatrix()
-// configuration, fresh and again after a pooled reset, reporting any
-// divergence. With -minimize, diverging modules are shrunk and written
-// into a corpus directory as self-contained reproducers.
+// command line, in one of two modes over the same oracle
+// (internal/difftest): every module runs under every configuration of a
+// matrix, fresh, again after a pooled reset and again from a disk-cache
+// artifact, and is compared on call results, final memory and globals.
+//
+// Fuzz mode (the default) generates structure-aware modules and
+// cross-executes each one through engines.DifferentialMatrix(). With
+// -minimize, diverging modules are shrunk and written into a corpus
+// directory as self-contained reproducers.
+//
+// Suite mode (-suite all, or one suite's name) runs the workload line
+// items the figures are measured on, and their early-return (m0)
+// variants, through engines.FullMatrix(): every configuration any figure
+// uses (the job of the former checksum verifier). A suite item must also
+// finish within -deadline and leave a non-zero checksum (zero for m0).
 //
 // The command also retains the module-writing mode of its predecessor
 // (wasmgen): -write-modules dumps the deterministic workload modules of
@@ -14,6 +24,7 @@
 //
 //	wizgo-fuzz [-n 500] [-seed 1] [-invalid 0.2] [-deadline 2s]
 //	           [-minimize] [-corpus DIR] [-json]
+//	wizgo-fuzz -suite all|polybench|libsodium|ostrich [-deadline 2s] [-json]
 //	wizgo-fuzz -write-modules [-out ./modules] [-m0]
 //
 // The seed is an explicit flag (default 1) so runs are reproducible:
@@ -33,6 +44,7 @@ import (
 	"time"
 
 	"wizgo/internal/difftest"
+	"wizgo/internal/engines"
 	"wizgo/internal/workloads"
 )
 
@@ -53,6 +65,7 @@ func main() {
 	minimize := flag.Bool("minimize", false, "minimize diverging modules and write reproducers into -corpus")
 	corpus := flag.String("corpus", "internal/difftest/corpus", "reproducer directory for -minimize")
 	jsonOut := flag.Bool("json", false, "print the run summary as JSON")
+	suite := flag.String("suite", "", "instead of fuzzing, run the workload suite (all, polybench, libsodium or ostrich) and its m0 variants through the 30-config engines.FullMatrix()")
 
 	writeModules := flag.Bool("write-modules", false, "write the workload modules to -out instead of fuzzing")
 	out := flag.String("out", "modules", "output directory for -write-modules")
@@ -61,6 +74,11 @@ func main() {
 
 	if *writeModules {
 		writeWorkloadModules(*out, *emitM0)
+		return
+	}
+
+	if *suite != "" {
+		runSuite(*suite, *deadline, *fuel, *jsonOut)
 		return
 	}
 
@@ -107,16 +125,43 @@ func main() {
 			}
 		}
 	}
+	report(sum, fmt.Sprintf("%d generated + %d mutated modules", sum.Ran, sum.Invalid), *jsonOut)
+}
 
-	if *jsonOut {
+// runSuite is suite mode: the selected line items and their m0 variants
+// through engines.FullMatrix(), under the suite contract of
+// difftest.Oracle.RunSuite.
+func runSuite(suite string, deadline time.Duration, fuel int64, jsonOut bool) {
+	items, err := workloads.Select(suite, 0)
+	if err != nil {
+		fatal(err)
+	}
+	o := difftest.NewOracleFor(engines.FullMatrix())
+	o.Deadline = deadline
+	o.Fuel = fuel
+	sum := summary{Configs: o.Configs()}
+	for _, m := range difftest.SuiteModules(items) {
+		sum.Ran++
+		if outs, d := o.RunSuite(m); d != nil {
+			sum.Divergences++
+			fmt.Fprintf(os.Stderr, "%s: %v\n%s", m.Name, d, difftest.OutcomeTable(outs))
+		}
+	}
+	report(sum, fmt.Sprintf("%d suite modules (%d line items and their m0 variants)", sum.Ran, len(items)), jsonOut)
+}
+
+// report prints the run summary — ran says in words what sum.Ran counted
+// — and exits non-zero when anything diverged.
+func report(sum summary, ran string, jsonOut bool) {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sum); err != nil {
 			fatal(err)
 		}
 	} else {
-		fmt.Printf("wizgo-fuzz: %d generated + %d mutated modules across %d configs (each rerun after reset and from a disk-cache artifact): %d divergences\n",
-			sum.Ran, sum.Invalid, len(sum.Configs), sum.Divergences)
+		fmt.Printf("wizgo-fuzz: %s across %d configs (each rerun after reset and from a disk-cache artifact): %d divergences\n",
+			ran, len(sum.Configs), sum.Divergences)
 	}
 	if sum.Divergences > 0 {
 		os.Exit(1)

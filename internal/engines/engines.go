@@ -54,6 +54,20 @@ func DifferentialMatrix() []engine.Config {
 	return append(Catalog(), WasmNowLike(), TurboFanLike())
 }
 
+// FullMatrix returns every configuration a figure is drawn from: the
+// five Figure 4 ablations, the six Figure 5 tag modes, the 18 SQ-space
+// tiers and the tiered pipeline with an OSR threshold low enough to tier
+// up mid-loop — 30 in all. The oracle runs the workload suites through
+// this set (wizgo-fuzz -suite), so every number wizgo-bench prints comes
+// from a configuration that was checked to compute the same thing.
+func FullMatrix() []engine.Config {
+	var cfgs []engine.Config
+	cfgs = append(cfgs, Figure4Variants()...)
+	cfgs = append(cfgs, Figure5Variants()...)
+	cfgs = append(cfgs, SQSpaceTiers()...)
+	return append(cfgs, WizardTiered(8))
+}
+
 // ByName resolves a preset by its figure name: any of the 18 SQ-space
 // tiers plus "wizeng-tiered". Shared by cmd/wizgo, the serving example,
 // and tests.

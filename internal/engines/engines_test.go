@@ -101,3 +101,24 @@ func TestFigure3Rows(t *testing.T) {
 		t.Fatalf("first row should be wizeng-spc, got %s", rows[0].Name)
 	}
 }
+
+// TestFullMatrix: the suite oracle's matrix is every configuration a
+// figure is drawn from, each under its own name.
+func TestFullMatrix(t *testing.T) {
+	cfgs := engines.FullMatrix()
+	if len(cfgs) != 30 {
+		t.Fatalf("FullMatrix has %d configurations, want 5 + 6 + 18 + 1", len(cfgs))
+	}
+	seen := map[string]bool{}
+	for _, cfg := range cfgs {
+		if seen[cfg.Name] {
+			t.Errorf("configuration name %q appears twice", cfg.Name)
+		}
+		seen[cfg.Name] = true
+	}
+	for _, want := range []string{"allopt", "nomr", "notags", "lazytags", "wizeng-int", "wavm", "wizeng-tiered"} {
+		if !seen[want] {
+			t.Errorf("FullMatrix lacks %q", want)
+		}
+	}
+}

@@ -69,15 +69,12 @@ func suites() []string {
 	return []string{workloads.SuitePolyBench, workloads.SuiteLibsodium, workloads.SuiteOstrich}
 }
 
-func bySuite(items []workloads.Item) map[string][]workloads.Item {
-	m := make(map[string][]workloads.Item)
-	for _, it := range items {
-		m[it.Suite] = append(m[it.Suite], it)
-	}
-	return m
-}
-
+// statCell renders a suite's bar. A suite the selection left out has no
+// values, and shows as "-": a zero would read as a measurement.
 func statCell(st Stat) string {
+	if st.N == 0 {
+		return "-"
+	}
 	return fmt.Sprintf("%.2f [%.2f,%.2f]", st.Mean, st.Min, st.Max)
 }
 

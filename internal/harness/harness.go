@@ -36,8 +36,8 @@ type Sample struct {
 // paper does for every run) and executes the module's _start.
 // Compilation is pinned serial: the paper's setup-time measurements are
 // single-threaded, and parallel fan-out would skew every compile-speed
-// axis (Figures 8-10). The serving-shape measurement that does exploit
-// the worker pool is MeasureService.
+// axis (Figures 8-10). The serving shape, which does exploit the worker
+// pool, is the repository benchmark's to measure (bench/).
 func RunOnce(cfg engine.Config, bytes []byte) (Sample, error) {
 	cfg.CompileWorkers = 1
 	e := engine.New(cfg, nil)
@@ -109,18 +109,6 @@ func SetupMedian(samples []Sample) time.Duration {
 		ds[i] = s.Setup
 	}
 	return median(ds)
-}
-
-// minimum returns the smallest duration: the least-interference
-// estimate for deterministic work repeated under scheduler noise.
-func minimum(ds []time.Duration) time.Duration {
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
 }
 
 func median(ds []time.Duration) time.Duration {

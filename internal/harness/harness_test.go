@@ -123,24 +123,19 @@ func TestFigure4Small(t *testing.T) {
 	if len(tbl.Columns) != 3 {
 		t.Errorf("columns %v", tbl.Columns)
 	}
-}
 
-func TestMeasurePooled(t *testing.T) {
-	item := workloads.Ostrich()[3] // crc
-	s, err := harness.MeasurePooled(engines.WizardSPC(), item.Bytes, 12, 3, 4)
+	// A suite with no selected item has nothing to aggregate, and says
+	// so instead of printing a 0.00 that reads as a measurement.
+	tbl, err = harness.Figure4(items[:1], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Hits+s.Misses != 12 {
-		t.Errorf("hits %d + misses %d != 12 requests", s.Hits, s.Misses)
+	for _, row := range tbl.Rows {
+		if len(row.Cells) != 3 || row.Cells[0] == "-" || row.Cells[1] != "-" || row.Cells[2] != "-" {
+			t.Errorf("%s with only polybench selected: cells %q, want a measurement then two \"-\"", row.Label, row.Cells)
+		}
 	}
-	if s.Misses == 0 {
-		t.Error("a cold pool must record at least one miss")
-	}
-	if s.Checksum == 0 {
-		t.Error("checksum not captured")
-	}
-	if s.Main <= 0 || s.Get < 0 {
-		t.Errorf("implausible latencies: get=%v main=%v", s.Get, s.Main)
+	if out := tbl.Render(); containsStr(out, "0.00 [0.00,0.00]") {
+		t.Errorf("empty suites rendered as measurements:\n%s", out)
 	}
 }

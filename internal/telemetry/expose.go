@@ -86,8 +86,8 @@ type jsonHist struct {
 
 // JSONValue returns the snapshot as a plain map — counter/gauge series
 // keyed by their series key, histograms as objects with buckets and
-// derived percentiles. This is the payload behind `wizgo -stats -json`,
-// the expvar "wizgo" variable, and BENCH_*.json telemetry sections.
+// derived percentiles. This is the payload behind `wizgo -stats -json`
+// and the expvar "wizgo" variable.
 func (s Snapshot) JSONValue() map[string]any {
 	counters := map[string]uint64{}
 	for _, c := range s.Counters {

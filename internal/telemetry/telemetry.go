@@ -25,8 +25,7 @@
 //     scrape instants) merge associatively: counters and histogram
 //     buckets add, gauges add (they are sized in deltas, e.g. pooled
 //     instances in custody). This is what lets a fleet aggregate
-//     per-replica snapshots into one view, and what BENCH_*.json
-//     trajectory entries are built from.
+//     per-replica snapshots into one view.
 //   - No dependencies. The package imports only the standard library,
 //     so every internal package (rt included) can publish into it
 //     without cycles.

@@ -48,6 +48,35 @@ func All() []Item {
 	return items
 }
 
+// Select returns the line items of one suite, or of all three when suite
+// is "" or "all", keeping only the first perSuite items of each suite
+// when perSuite is positive. A selection that comes out empty — a name
+// that is not a suite, a negative perSuite — is an error: the tools
+// built on this report "N items checked", and N = 0 must not read as
+// success.
+func Select(suite string, perSuite int) ([]Item, error) {
+	var items []Item
+	all := suite == "" || suite == "all"
+	for _, s := range []struct {
+		name string
+		gen  func() []Item
+	}{{SuitePolyBench, PolyBench}, {SuiteLibsodium, Libsodium}, {SuiteOstrich, Ostrich}} {
+		if perSuite < 0 || !(all || suite == s.name) {
+			continue
+		}
+		got := s.gen()
+		if perSuite > 0 && perSuite < len(got) {
+			got = got[:perSuite]
+		}
+		items = append(items, got...)
+	}
+	if len(items) == 0 {
+		return nil, fmt.Errorf("workloads: suite %q, %d items per suite selects nothing (suites: %s, %s, %s, or all)",
+			suite, perSuite, SuitePolyBench, SuiteLibsodium, SuiteOstrich)
+	}
+	return items, nil
+}
+
 // Mnop returns the paper's minimal module: a single exported function
 // that just returns (used to measure bare VM startup).
 func Mnop() []byte {

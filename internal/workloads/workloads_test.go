@@ -1,10 +1,9 @@
 package workloads_test
 
 import (
+	"reflect"
 	"testing"
 
-	"wizgo/internal/engine"
-	"wizgo/internal/engines"
 	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 	"wizgo/internal/workloads"
@@ -52,53 +51,46 @@ func TestMnopValidates(t *testing.T) {
 	}
 }
 
-// run executes an item under one configuration and returns its checksum.
-func run(t *testing.T, cfg engine.Config, bytes []byte) int64 {
-	t.Helper()
-	inst, err := engine.New(cfg, nil).Instantiate(bytes)
-	if err != nil {
-		t.Fatalf("%s: instantiate: %v", cfg.Name, err)
-	}
-	if _, err := inst.Call("_start"); err != nil {
-		t.Fatalf("%s: _start: %v", cfg.Name, err)
-	}
-	sum, err := inst.Call("checksum")
-	if err != nil {
-		t.Fatalf("%s: checksum: %v", cfg.Name, err)
-	}
-	return sum[0].I64()
-}
-
-// TestChecksumsAgreeAcrossTiers runs every line item under the
-// interpreter and four structurally different compilers and requires
-// identical checksums — the strongest end-to-end differential test in
-// the repository.
-func TestChecksumsAgreeAcrossTiers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential suite run is slow")
-	}
-	cfgs := []engine.Config{
-		engines.WizardINT(),
-		engines.WizardSPC(),
-		engines.WasmNowLike(),
-		engines.Wasm3Like(),
-		engines.TurboFanLike(),
-	}
-	for _, it := range workloads.All() {
-		want := run(t, cfgs[0], it.Bytes)
-		if want == 0 {
-			t.Errorf("%s/%s: zero checksum (vacuous workload?)", it.Suite, it.Name)
+// TestSelect: one selection rule for every tool, and a name that is not
+// a suite is an error rather than an empty (vacuously passing) selection.
+func TestSelect(t *testing.T) {
+	count := func(items []workloads.Item) map[string]int {
+		n := map[string]int{}
+		for _, it := range items {
+			n[it.Suite]++
 		}
-		for _, cfg := range cfgs[1:] {
-			got := run(t, cfg, it.Bytes)
-			if got != want {
-				t.Errorf("%s/%s: %s checksum %#x, interpreter %#x",
-					it.Suite, it.Name, cfg.Name, got, want)
-			}
+		return n
+	}
+	for _, tc := range []struct {
+		suite    string
+		perSuite int
+		want     map[string]int
+	}{
+		{"", 0, map[string]int{"polybench": 28, "libsodium": 39, "ostrich": 11}},
+		{"all", 0, map[string]int{"polybench": 28, "libsodium": 39, "ostrich": 11}},
+		{"all", 2, map[string]int{"polybench": 2, "libsodium": 2, "ostrich": 2}},
+		{"polybench", 0, map[string]int{"polybench": 28}},
+		{"libsodium", 3, map[string]int{"libsodium": 3}},
+		{"ostrich", 50, map[string]int{"ostrich": 11}},
+	} {
+		items, err := workloads.Select(tc.suite, tc.perSuite)
+		if err != nil {
+			t.Errorf("Select(%q, %d): %v", tc.suite, tc.perSuite, err)
+			continue
 		}
-		// m0 must be cheap and leave checksum zero.
-		if m0 := run(t, cfgs[0], it.BytesM0); m0 != 0 {
-			t.Errorf("%s/%s: m0 computed %#x, want 0", it.Suite, it.Name, m0)
+		if got := count(items); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Select(%q, %d) = %v, want %v", tc.suite, tc.perSuite, got, tc.want)
+		}
+	}
+	if items, _ := workloads.Select("polybench", 2); items[0].Name != "gemm" || items[1].Name != workloads.PolyBench()[1].Name {
+		t.Errorf("Select keeps the first items of a suite in order, got %s, %s", items[0].Name, items[1].Name)
+	}
+	for _, bad := range []struct {
+		suite    string
+		perSuite int
+	}{{"polybnech", 0}, {"Polybench", 0}, {"polybench", -1}} {
+		if items, err := workloads.Select(bad.suite, bad.perSuite); err == nil {
+			t.Errorf("Select(%q, %d) = %d items, want an error", bad.suite, bad.perSuite, len(items))
 		}
 	}
 }
