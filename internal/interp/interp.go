@@ -13,6 +13,10 @@
 package interp
 
 import (
+	"math"
+	"math/bits"
+
+	"wizgo/internal/numx"
 	"wizgo/internal/rt"
 	"wizgo/internal/wasm"
 )
@@ -678,11 +682,114 @@ func run(ctx *rt.Context, f *rt.FuncInst, vfp, frameIdx int, entry *Entry) (rt.S
 			}
 			sp++
 
+		// The numeric hot set: about 95% of the numeric ops the suite
+		// items execute. Each result has its first operand's type, and
+		// that slot was tagged when it was pushed, so none stores a tag.
+		// Every other numeric op goes through numeric (numx).
+		case wasm.OpI32Add:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) + uint32(slots[sp]))
+		case wasm.OpI32Sub:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) - uint32(slots[sp]))
+		case wasm.OpI32Mul:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) * uint32(slots[sp]))
+		case wasm.OpI32And:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) & uint32(slots[sp]))
+		case wasm.OpI32Or:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) | uint32(slots[sp]))
+		case wasm.OpI32Xor:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) ^ uint32(slots[sp]))
+		case wasm.OpI32Shl:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) << (uint32(slots[sp]) & 31))
+		case wasm.OpI32ShrS:
+			sp--
+			slots[sp-1] = uint64(uint32(int32(slots[sp-1]) >> (uint32(slots[sp]) & 31)))
+		case wasm.OpI32ShrU:
+			sp--
+			slots[sp-1] = uint64(uint32(slots[sp-1]) >> (uint32(slots[sp]) & 31))
+		case wasm.OpI32Rotl:
+			sp--
+			slots[sp-1] = uint64(bits.RotateLeft32(uint32(slots[sp-1]), int(uint32(slots[sp])&31)))
+		case wasm.OpI32Rotr:
+			sp--
+			slots[sp-1] = uint64(bits.RotateLeft32(uint32(slots[sp-1]), -int(uint32(slots[sp])&31)))
+		case wasm.OpI32Eqz:
+			slots[sp-1] = numx.B2u(uint32(slots[sp-1]) == 0)
+		case wasm.OpI32Eq:
+			sp--
+			slots[sp-1] = numx.B2u(uint32(slots[sp-1]) == uint32(slots[sp]))
+		case wasm.OpI32Ne:
+			sp--
+			slots[sp-1] = numx.B2u(uint32(slots[sp-1]) != uint32(slots[sp]))
+		case wasm.OpI32LtS:
+			sp--
+			slots[sp-1] = numx.B2u(int32(slots[sp-1]) < int32(slots[sp]))
+		case wasm.OpI32LtU:
+			sp--
+			slots[sp-1] = numx.B2u(uint32(slots[sp-1]) < uint32(slots[sp]))
+		case wasm.OpI32GtS:
+			sp--
+			slots[sp-1] = numx.B2u(int32(slots[sp-1]) > int32(slots[sp]))
+		case wasm.OpI32GeS:
+			sp--
+			slots[sp-1] = numx.B2u(int32(slots[sp-1]) >= int32(slots[sp]))
+		case wasm.OpI32LeS:
+			sp--
+			slots[sp-1] = numx.B2u(int32(slots[sp-1]) <= int32(slots[sp]))
+		case wasm.OpI64Add:
+			sp--
+			slots[sp-1] += slots[sp]
+		case wasm.OpI64Sub:
+			sp--
+			slots[sp-1] -= slots[sp]
+		case wasm.OpI64Mul:
+			sp--
+			slots[sp-1] *= slots[sp]
+		case wasm.OpI64And:
+			sp--
+			slots[sp-1] &= slots[sp]
+		case wasm.OpI64Or:
+			sp--
+			slots[sp-1] |= slots[sp]
+		case wasm.OpI64Xor:
+			sp--
+			slots[sp-1] ^= slots[sp]
+		case wasm.OpI64Shl:
+			sp--
+			slots[sp-1] <<= slots[sp] & 63
+		case wasm.OpI64ShrU:
+			sp--
+			slots[sp-1] >>= slots[sp] & 63
+		case wasm.OpI64Rotl:
+			sp--
+			slots[sp-1] = bits.RotateLeft64(slots[sp-1], int(slots[sp]&63))
+		case wasm.OpI64Rotr:
+			sp--
+			slots[sp-1] = bits.RotateLeft64(slots[sp-1], -int(slots[sp]&63))
+		case wasm.OpF64Add:
+			sp--
+			slots[sp-1] = math.Float64bits(math.Float64frombits(slots[sp-1]) + math.Float64frombits(slots[sp]))
+		case wasm.OpF64Sub:
+			sp--
+			slots[sp-1] = math.Float64bits(math.Float64frombits(slots[sp-1]) - math.Float64frombits(slots[sp]))
+		case wasm.OpF64Mul:
+			sp--
+			slots[sp-1] = math.Float64bits(math.Float64frombits(slots[sp-1]) * math.Float64frombits(slots[sp]))
+		case wasm.OpF64Div:
+			sp--
+			slots[sp-1] = math.Float64bits(math.Float64frombits(slots[sp-1]) / math.Float64frombits(slots[sp]))
+
 		case wasm.Opcode(wasm.PrefixFC):
 			var sub uint32
 			sub, ip = readU32(body, ip)
 			var trapKind rt.TrapKind
-			sp, ip, trapKind = fcOp(sub, body, ip, slots, tags, sp, mem)
+			sp, ip, trapKind = fcOp(sub, ip, slots, tags, sp, mem)
 			if trapKind != rt.TrapNone {
 				return rt.Done, trap(trapKind)
 			}
@@ -709,4 +816,66 @@ func shouldOSR(ctx *rt.Context, f *rt.FuncInst) bool {
 		ctx.Stats.OSRUps++
 	}
 	return true
+}
+
+// numeric executes a numeric instruction run does not inline, through
+// numx, and tags its result eagerly. It returns the new stack top and a
+// trap kind (TrapNone on success).
+func numeric(op wasm.Opcode, slots []uint64, tags []wasm.Tag, sp int) (int, rt.TrapKind) {
+	params, results, _ := op.Sig()
+	var (
+		v    uint64
+		kind rt.TrapKind
+		ok   bool
+	)
+	switch len(params) {
+	case 1:
+		v, kind, ok = numx.EvalUn(op, slots[sp-1])
+	case 2:
+		sp--
+		v, kind, ok = numx.EvalBin(op, slots[sp-1], slots[sp])
+	}
+	if !ok {
+		return sp, rt.TrapUnreachable
+	}
+	if kind != rt.TrapNone {
+		return sp, kind
+	}
+	slots[sp-1] = v
+	if tags != nil {
+		tags[sp-1] = wasm.TagOf(results[0])
+	}
+	return sp, rt.TrapNone
+}
+
+// fcOp executes a 0xFC-prefixed instruction: the bulk-memory ops here,
+// the saturating truncations through numeric.
+func fcOp(sub uint32, ip int, slots []uint64, tags []wasm.Tag, sp int, mem *rt.Memory) (int, int, rt.TrapKind) {
+	op := wasm.Opcode(0x100 + sub)
+	switch op {
+	case wasm.OpMemoryCopy:
+		ip += 2 // two reserved memory index bytes
+		sp -= 3
+		dst, src, n := uint32(slots[sp]), uint32(slots[sp+1]), uint32(slots[sp+2])
+		if !mem.InBounds(dst, 0, int(n)) || !mem.InBounds(src, 0, int(n)) {
+			return sp, ip, rt.TrapOOBMemory
+		}
+		mem.Mark(dst, 0, int(n))
+		copy(mem.Data[dst:dst+n], mem.Data[src:src+n])
+		return sp, ip, rt.TrapNone
+	case wasm.OpMemoryFill:
+		ip++ // reserved memory index byte
+		sp -= 3
+		dst, val, n := uint32(slots[sp]), byte(slots[sp+1]), uint32(slots[sp+2])
+		if !mem.InBounds(dst, 0, int(n)) {
+			return sp, ip, rt.TrapOOBMemory
+		}
+		mem.Mark(dst, 0, int(n))
+		for i := uint32(0); i < n; i++ {
+			mem.Data[dst+i] = val
+		}
+		return sp, ip, rt.TrapNone
+	}
+	sp, kind := numeric(op, slots, tags, sp)
+	return sp, ip, kind
 }

@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"wizgo/internal/interp"
@@ -54,22 +55,47 @@ func TestDirectCall(t *testing.T) {
 }
 
 // TestTagsWrittenEagerly: the in-place interpreter stores a tag for
-// every slot it pushes — the property value-tag GC scanning relies on.
+// every slot it pushes — the property value-tag GC scanning relies on —
+// on both numeric paths: the inline hot set, whose result slot keeps its
+// first operand's tag, and numx for every other op (the 0xFC page
+// included), which writes the result type's tag.
 func TestTagsWrittenEagerly(t *testing.T) {
-	ctx, f := setup(t, func(f *wasm.FuncBuilder) {
-		l := f.AddLocal(wasm.F64)
-		f.F64Const(2.5).LocalSet(l)
-		f.LocalGet(l).Op(wasm.OpI64TruncF64S)
-		f.End()
-	}, wasm.FuncType{Results: []wasm.ValueType{wasm.I64}})
-	if _, err := interp.Call(ctx, f, 0); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		op   wasm.Opcode
+		args func(f *wasm.FuncBuilder)
+		res  wasm.ValueType
+		want uint64
+	}{
+		// Inline.
+		{wasm.OpI32LtS, func(f *wasm.FuncBuilder) { f.I32Const(-1).I32Const(0) }, wasm.I32, 1},
+		{wasm.OpF64Add, func(f *wasm.FuncBuilder) { f.F64Const(1.5).F64Const(2.25) }, wasm.F64, math.Float64bits(3.75)},
+		// numx: each result type differs from its operand's where it can.
+		{wasm.OpI64LtU, func(f *wasm.FuncBuilder) { f.I64Const(-1).I64Const(0) }, wasm.I32, 0},
+		{wasm.OpF32Sqrt, func(f *wasm.FuncBuilder) { f.F32Const(4) }, wasm.F32, uint64(math.Float32bits(2))},
+		{wasm.OpF64ConvertI64U, func(f *wasm.FuncBuilder) { f.I64Const(-1) }, wasm.F64, math.Float64bits(1 << 64)},
+		{wasm.OpI64TruncF64S, func(f *wasm.FuncBuilder) {
+			l := f.AddLocal(wasm.F64)
+			f.F64Const(2.5).LocalSet(l).LocalGet(l)
+		}, wasm.I64, 2},
+		// numx through the 0xFC page.
+		{wasm.OpI32TruncSatF64S, func(f *wasm.FuncBuilder) { f.F64Const(1e10) }, wasm.I32, math.MaxInt32},
 	}
-	if ctx.Stack.Tags[0] != wasm.TagI64 {
-		t.Fatalf("result tag = %v, want i64", ctx.Stack.Tags[0])
-	}
-	if wasm.UnboxI64(ctx.Stack.Slots[0]) != 2 {
-		t.Fatalf("trunc(2.5) = %d", wasm.UnboxI64(ctx.Stack.Slots[0]))
+	for _, c := range cases {
+		t.Run(c.op.String(), func(t *testing.T) {
+			ctx, f := setup(t, func(f *wasm.FuncBuilder) {
+				c.args(f)
+				f.Op(c.op).End()
+			}, wasm.FuncType{Results: []wasm.ValueType{c.res}})
+			if _, err := interp.Call(ctx, f, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ctx.Stack.Tags[0], wasm.TagOf(c.res); got != want {
+				t.Errorf("result tag = %v, want %v", got, want)
+			}
+			if got := ctx.Stack.Slots[0]; got != c.want {
+				t.Errorf("result = %#x, want %#x", got, c.want)
+			}
+		})
 	}
 }
 

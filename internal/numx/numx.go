@@ -1,9 +1,15 @@
 // Package numx centralizes the scalar semantics of Wasm numeric
 // instructions over raw 64-bit slot values. It has four clients with
-// identical correctness requirements: the in-place interpreter, the
-// MachCode executor's generic fallback, and the constant folders of the
-// single-pass and optimizing compilers (folding must agree bit-for-bit
+// identical correctness requirements: the in-place interpreter (every
+// numeric op outside its inline hot set), the rewriting interpreter's
+// long tail, the MachCode executor (its generic fallback and trapping
+// truncations, for code from SPC, copy-and-patch and the optimizing
+// tier alike), and the single-pass compiler's constant folder, which the
+// optimizing tier reaches through SPC (folding must agree bit-for-bit
 // with execution, or constant tracking would change program behaviour).
+// golden_test.go pins every opcode to vectors written from the spec:
+// a bug here is a bug in every tier, which the differential oracle
+// cannot see.
 package numx
 
 import (
