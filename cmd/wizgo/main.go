@@ -204,9 +204,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "compile: %v (decode %v, rehydrate %v — loaded from disk cache), code %d bytes\n",
 			compileWall, cm.Timings.Decode, cm.Timings.Rehydrate, cm.Timings.CodeBytes)
 	} else {
-		fmt.Fprintf(os.Stderr, "compile: %v (decode %v, validate %v, analyze %v, compile %v), code %d bytes\n",
-			compileWall, cm.Timings.Decode, cm.Timings.Validate, cm.Timings.Analyze,
-			cm.Timings.Compile, cm.Timings.CodeBytes)
+		fmt.Fprintf(os.Stderr, "compile: %v (decode %v, module checks %v, validate+compile %v, analyze %v), code %d bytes\n",
+			compileWall, cm.Timings.Decode, cm.Timings.Validate, cm.Timings.Compile,
+			cm.Timings.Analyze, cm.Timings.CodeBytes)
 	}
 	if st := cm.AnalysisStats(); st.Funcs > 0 {
 		fmt.Fprintf(os.Stderr, "analysis: %d/%d functions read-only\n", st.ReadOnly, st.Funcs)

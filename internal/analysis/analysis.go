@@ -1,6 +1,7 @@
 // Package analysis is wizgo's static-analysis pass. It runs once per
-// module, after validation and before any tier compiles, and derives
-// one fact per function: writes-memory. It reads no bytecode: the
+// module, after the per-function validation (and compilation, which
+// reads no fact of it), and derives one fact per function:
+// writes-memory. It reads no bytecode: the
 // validator's walk already noted, per function, whether the body holds
 // no memory-writing instruction (validate.FuncInfo.NoWrites) and whom
 // it calls (Callees). What is left here is the call-graph fixpoint over

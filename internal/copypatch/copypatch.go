@@ -18,8 +18,6 @@
 package copypatch
 
 import (
-	"fmt"
-
 	"wizgo/internal/engine"
 	"wizgo/internal/mach"
 	"wizgo/internal/rt"
@@ -38,9 +36,16 @@ func (t Tier) Name() string {
 	return "copypatch"
 }
 
-// Compile implements engine.Tier.
+// Compile implements engine.Tier. info is shared, so the walk validates
+// into scratch.
 func (t Tier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo, probes *rt.ProbeSet) (engine.Code, error) {
+	return Compile(m, fidx, decl, nil)
+}
+
+// ValidateCompile implements engine.FusedTier.
+func (t Tier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
+	info *validate.FuncInfo) (engine.Code, error) {
 	return Compile(m, fidx, decl, info)
 }
 
@@ -70,18 +75,21 @@ type tc struct {
 	h       int
 	nLocals int
 	osr     map[int]int
-	r       *wasm.Reader
 }
 
 func (t *tc) slot(pos int) int { return t.nLocals + pos }
 
-// Compile translates one function with per-opcode templates.
+// Compile translates one function with per-opcode templates, stamping
+// each out as the validator's walk hands the instruction over. Like
+// spc.Compile, it validates into info, or into scratch when info is nil.
 func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo) (*mach.Code, error) {
+	w := validate.Walk(m, fidx, decl, info)
+	defer w.Release()
+	info = w.Info()
 	t := &tc{
 		m: m, info: info, asm: mach.NewAsm(),
 		nLocals: len(info.LocalTypes),
 		osr:     make(map[int]int),
-		r:       wasm.NewReader(decl.Body),
 	}
 	ft := m.Types[decl.TypeIdx]
 
@@ -91,19 +99,16 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 	}
 	t.ctrls = append(t.ctrls, ctrl{label: t.asm.NewLabel(), elseLabel: -1, nOut: len(ft.Results)})
 
-	for t.r.Len() > 0 {
-		pc := t.r.Pos
-		op, err := t.r.ReadOpcode()
-		if err != nil {
-			return nil, err
+	for {
+		in, err := w.Next()
+		if in == nil {
+			if err != nil {
+				return nil, err
+			}
+			break
 		}
-		if len(t.ctrls) == 0 {
-			return nil, fmt.Errorf("copypatch: code after function end")
-		}
-		t.asm.SetWasmPC(pc)
-		if err := t.instr(op, pc); err != nil {
-			return nil, err
-		}
+		t.asm.SetWasmPC(in.PC)
+		t.instr(in)
 	}
 	code, err := t.asm.Finish()
 	if err != nil {
@@ -117,21 +122,6 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 	code.NumParams = len(ft.Params)
 	code.LocalTypes = info.LocalTypes
 	return code, nil
-}
-
-func (t *tc) blockArity() (nIn, nOut int, err error) {
-	bt, err := t.r.S33()
-	if err != nil {
-		return 0, 0, err
-	}
-	if bt >= 0 {
-		ty := t.m.Types[bt]
-		return len(ty.Params), len(ty.Results), nil
-	}
-	if bt == -64 {
-		return 0, 0, nil
-	}
-	return 0, 1, nil
 }
 
 func (t *tc) emit(in mach.Instr) { t.asm.Emit(in) }
@@ -170,29 +160,23 @@ func (t *tc) epilogue() {
 	t.emit(mach.Instr{Op: mach.OReturn})
 }
 
-func (t *tc) instr(op wasm.Opcode, pc int) error {
+func (t *tc) instr(in *validate.Instr) {
+	op, nIn, nOut := in.Op, len(in.In), len(in.Out)
 	fr := &t.ctrls[len(t.ctrls)-1]
 	if fr.unreachable {
-		return t.skip(op)
+		t.skip(op)
+		return
 	}
 	switch op {
 	case wasm.OpUnreachable:
-		t.emit(mach.Instr{Op: mach.OTrap, A: int32(rt.TrapUnreachable), Imm: uint64(pc)})
+		t.emit(mach.Instr{Op: mach.OTrap, A: int32(rt.TrapUnreachable), Imm: uint64(in.PC)})
 		fr.unreachable = true
 	case wasm.OpNop:
 	case wasm.OpBlock:
-		nIn, nOut, err := t.blockArity()
-		if err != nil {
-			return err
-		}
 		t.ctrls = append(t.ctrls, ctrl{op: wasm.OpBlock, label: t.asm.NewLabel(),
 			elseLabel: -1, height: t.h - nIn, nIn: nIn, nOut: nOut})
 	case wasm.OpLoop:
-		nIn, nOut, err := t.blockArity()
-		if err != nil {
-			return err
-		}
-		bodyPC := t.r.Pos
+		bodyPC := in.End
 		l := t.asm.NewLabel()
 		t.asm.Bind(l)
 		t.emit(mach.Instr{Op: mach.OCheckPoint, A: int32(t.nLocals + t.h), Imm: uint64(bodyPC)})
@@ -202,10 +186,6 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		t.ctrls = append(t.ctrls, ctrl{op: wasm.OpLoop, label: l,
 			elseLabel: -1, height: t.h - nIn, nIn: nIn, nOut: nOut})
 	case wasm.OpIf:
-		nIn, nOut, err := t.blockArity()
-		if err != nil {
-			return err
-		}
 		t.h--
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
 		fr := ctrl{op: wasm.OpIf, label: t.asm.NewLabel(), elseLabel: t.asm.NewLabel(),
@@ -230,29 +210,19 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		if frv.op != wasm.OpLoop && frv.label >= 0 {
 			t.asm.Bind(frv.label)
 		}
-		if len(t.ctrls) == 0 {
-			t.h = frv.height + frv.nOut
-			t.epilogue()
-			return nil
-		}
 		t.h = frv.height + frv.nOut
-	case wasm.OpBr:
-		d, err := t.r.U32()
-		if err != nil {
-			return err
+		if len(t.ctrls) == 0 {
+			t.epilogue()
 		}
-		target := t.frameAt(d)
+	case wasm.OpBr:
+		target := t.frameAt(in.Idx)
 		t.transfer(target.height, t.branchVals(target))
 		t.asm.EmitBranch(mach.Instr{Op: mach.OJump}, target.label)
 		fr.unreachable = true
 	case wasm.OpBrIf:
-		d, err := t.r.U32()
-		if err != nil {
-			return err
-		}
 		t.h--
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		target := t.frameAt(d)
+		target := t.frameAt(in.Idx)
 		vals := t.branchVals(target)
 		if t.h-vals == target.height {
 			t.asm.EmitBranch(mach.Instr{Op: mach.OBrIfNonZero, B: r0}, target.label)
@@ -264,16 +234,7 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 			t.asm.Bind(skip)
 		}
 	case wasm.OpBrTable:
-		n, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		depths := make([]uint32, n+1)
-		for i := range depths {
-			if depths[i], err = t.r.U32(); err != nil {
-				return err
-			}
-		}
+		depths := in.Targets
 		t.h--
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
 		labels := make([]int, len(depths))
@@ -306,160 +267,71 @@ func (t *tc) instr(op wasm.Opcode, pc int) error {
 		t.epilogue()
 		fr.unreachable = true
 	case wasm.OpCall:
-		fidx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		ft, err := t.m.FuncTypeAt(fidx)
-		if err != nil {
-			return err
-		}
-		argBase := t.nLocals + t.h - len(ft.Params)
-		t.emit(mach.Instr{Op: mach.OCall, A: int32(fidx), B: int32(argBase)})
-		t.h += len(ft.Results) - len(ft.Params)
+		argBase := t.nLocals + t.h - nIn
+		t.emit(mach.Instr{Op: mach.OCall, A: int32(in.Idx), B: int32(argBase)})
+		t.h += nOut - nIn
 	case wasm.OpCallIndirect:
-		typeIdx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		tblIdx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		ft := t.m.Types[typeIdx]
 		t.h--
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h))})
-		argBase := t.nLocals + t.h - len(ft.Params)
-		t.emit(mach.Instr{Op: mach.OCallIndirect, A: int32(typeIdx), B: int32(argBase), C: r2, Imm: uint64(tblIdx)})
-		t.h += len(ft.Results) - len(ft.Params)
+		argBase := t.nLocals + t.h - nIn
+		t.emit(mach.Instr{Op: mach.OCallIndirect, A: int32(in.Idx), B: int32(argBase), C: r2, Imm: in.Imm})
+		t.h += nOut - nIn
 	case wasm.OpDrop:
 		t.h--
-	case wasm.OpSelect:
-		t.selectTemplate()
-	case wasm.OpSelectT:
-		n, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		if _, err := t.r.Take(int(n)); err != nil {
-			return err
-		}
+	case wasm.OpSelect, wasm.OpSelectT:
 		t.selectTemplate()
 	case wasm.OpLocalGet:
-		idx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(idx)})
+		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(in.Idx)})
 		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h))})
 		t.h++
 	case wasm.OpLocalSet:
-		idx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
 		t.h--
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(idx)})
+		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(in.Idx)})
 	case wasm.OpLocalTee:
-		idx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(idx)})
+		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(in.Idx)})
 	case wasm.OpGlobalGet:
-		idx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		t.emit(mach.Instr{Op: mach.OGlobalGet, A: r0, Imm: uint64(idx)})
+		t.emit(mach.Instr{Op: mach.OGlobalGet, A: r0, Imm: uint64(in.Idx)})
 		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h))})
 		t.h++
 	case wasm.OpGlobalSet:
-		idx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		gt, _, _ := t.m.GlobalTypeAt(idx)
 		t.h--
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OGlobalSet, B: r0, C: int32(wasm.TagOf(gt)), Imm: uint64(idx)})
-	case wasm.OpI32Const:
-		v, err := t.r.S32()
-		if err != nil {
-			return err
-		}
-		t.pushConst(uint64(uint32(v)))
-	case wasm.OpI64Const:
-		v, err := t.r.S64()
-		if err != nil {
-			return err
-		}
-		t.pushConst(uint64(v))
-	case wasm.OpF32Const:
-		bits, err := t.r.F32()
-		if err != nil {
-			return err
-		}
-		t.pushConst(uint64(bits))
-	case wasm.OpF64Const:
-		bits, err := t.r.F64()
-		if err != nil {
-			return err
-		}
-		t.pushConst(bits)
+		t.emit(mach.Instr{Op: mach.OGlobalSet, B: r0, C: int32(wasm.TagOf(in.Type)), Imm: uint64(in.Idx)})
+	case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
+		t.pushConst(in.Imm)
 	case wasm.OpMemorySize:
-		if _, err := t.r.Byte(); err != nil {
-			return err
-		}
 		t.emit(mach.Instr{Op: mach.OMemSize, A: r0})
 		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h))})
 		t.h++
 	case wasm.OpMemoryGrow:
-		if _, err := t.r.Byte(); err != nil {
-			return err
-		}
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
 		t.emit(mach.Instr{Op: mach.OMemGrow, A: r0, B: r0})
 		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
 	case wasm.OpMemoryCopy:
-		if _, err := t.r.Take(2); err != nil {
-			return err
-		}
 		t.h -= 3
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h + 1))})
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h + 2))})
 		t.emit(mach.Instr{Op: mach.OMemCopy, A: r0, B: r1, C: r2})
 	case wasm.OpMemoryFill:
-		if _, err := t.r.Byte(); err != nil {
-			return err
-		}
 		t.h -= 3
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h + 1))})
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r2, Imm: uint64(t.slot(t.h + 2))})
 		t.emit(mach.Instr{Op: mach.OMemFill, A: r0, B: r1, C: r2})
 	case wasm.OpRefNull:
-		if _, err := t.r.Byte(); err != nil {
-			return err
-		}
 		t.pushConst(wasm.NullRef)
 	case wasm.OpRefIsNull:
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
 		t.emit(mach.Instr{Op: mach.OI64Eqz, A: r0, B: r0})
 		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
 	case wasm.OpRefFunc:
-		fidx, err := t.r.U32()
-		if err != nil {
-			return err
-		}
-		t.pushConst(uint64(fidx) + 1)
+		t.pushConst(uint64(in.Idx) + 1)
 	default:
-		return t.numericTemplate(op)
+		t.numericTemplate(op, in.Imm)
 	}
-	return nil
 }
 
 func (t *tc) branchEndVals(fr *ctrl) int { return fr.nOut }
@@ -478,56 +350,39 @@ func (t *tc) selectTemplate() {
 	t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
 }
 
-// numericTemplate stamps out loads/stores around the arithmetic body.
-func (t *tc) numericTemplate(op wasm.Opcode) error {
-	switch op.Imm() {
-	case wasm.ImmMem:
-		if _, err := t.r.U32(); err != nil {
-			return err
-		}
-		off, err := t.r.U32()
-		if err != nil {
-			return err
-		}
+// numericTemplate stamps out loads/stores (off is the memory access's
+// offset) around the arithmetic body. Every other opcode reaching here
+// is a validated unary or binary numeric instruction.
+func (t *tc) numericTemplate(op wasm.Opcode, off uint64) {
+	if op.Imm() == wasm.ImmMem {
 		if mop, ok := loadTemplate(op); ok {
 			t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-			t.emit(mach.Instr{Op: mop, A: r0, B: r0, Imm: uint64(off)})
+			t.emit(mach.Instr{Op: mop, A: r0, B: r0, Imm: off})
 			t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
-			return nil
+			return
 		}
 		t.h -= 2
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h))})
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h + 1))})
-		t.emit(mach.Instr{Op: storeTemplate(op), B: r0, C: r1, Imm: uint64(off)})
-		return nil
+		t.emit(mach.Instr{Op: storeTemplate(op), B: r0, C: r1, Imm: off})
+		return
 	}
-	params, _, ok := op.Sig()
-	if !ok {
-		return fmt.Errorf("copypatch: unsupported opcode %v", op)
-	}
-	switch len(params) {
-	case 1:
+	if params, _, _ := op.Sig(); len(params) == 1 {
 		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
 		t.emit(mach.Instr{Op: mach.OGen1, A: r0, B: r0, Imm: uint64(op)})
 		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
-	case 2:
-		t.h--
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
-		t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h))})
-		t.emit(mach.Instr{Op: mach.OGen2, A: r0, B: r0, C: r1, Imm: uint64(op)})
-		t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
-	default:
-		return fmt.Errorf("copypatch: unexpected arity for %v", op)
+		return
 	}
-	return nil
+	t.h--
+	t.emit(mach.Instr{Op: mach.OLoadSlot, A: r0, Imm: uint64(t.slot(t.h - 1))})
+	t.emit(mach.Instr{Op: mach.OLoadSlot, A: r1, Imm: uint64(t.slot(t.h))})
+	t.emit(mach.Instr{Op: mach.OGen2, A: r0, B: r0, C: r1, Imm: uint64(op)})
+	t.emit(mach.Instr{Op: mach.OStoreSlot, B: r0, Imm: uint64(t.slot(t.h - 1))})
 }
 
-func (t *tc) skip(op wasm.Opcode) error {
+func (t *tc) skip(op wasm.Opcode) {
 	switch op {
 	case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-		if _, _, err := t.blockArity(); err != nil {
-			return err
-		}
 		t.ctrls = append(t.ctrls, ctrl{op: op, label: -1, elseLabel: -1,
 			unreachable: true, wasDead: true, height: t.h})
 	case wasm.OpElse:
@@ -542,7 +397,7 @@ func (t *tc) skip(op wasm.Opcode) error {
 		fr := t.ctrls[len(t.ctrls)-1]
 		t.ctrls = t.ctrls[:len(t.ctrls)-1]
 		if fr.wasDead {
-			return nil
+			return
 		}
 		if fr.op == wasm.OpIf && !fr.hasElse && fr.elseLabel >= 0 {
 			t.asm.Bind(fr.elseLabel)
@@ -553,16 +408,13 @@ func (t *tc) skip(op wasm.Opcode) error {
 		t.h = fr.height + fr.nOut
 		if len(t.ctrls) == 0 {
 			t.epilogue()
-			return nil
+			return
 		}
 		// The merge is reachable via branches or the if false edge.
 		if fr.op != wasm.OpLoop {
 			t.ctrls[len(t.ctrls)-1].unreachable = false
 		}
-	default:
-		return t.r.SkipImm(op)
 	}
-	return nil
 }
 
 func loadTemplate(op wasm.Opcode) (mach.Op, bool) {

@@ -174,7 +174,7 @@ func (e *Engine) decodeArtifact(bytes []byte, payload []byte) (*CompiledModule, 
 	}
 
 	cm := &CompiledModule{
-		engine: e, Module: m, Infos: infos,
+		engine: e, Module: m, Infos: infos, lazy: e.lazyTable(len(m.Funcs)),
 		Timings:  Timings{ModuleBytes: len(bytes)},
 		Analysis: analysis.StatsFromInfos(infos),
 	}

@@ -14,16 +14,17 @@ import (
 	"wizgo/internal/wasm"
 )
 
-// CompiledModule is the immutable product of Engine.Compile: the decoded
-// module, its validation metadata, and (in eager JIT modes) the compiled
-// code of every local function. It is safe to share between goroutines
-// and to instantiate any number of times — the compile-once /
-// instantiate-many split that lets a serving deployment amortize the
-// per-module setup cost the paper's Figure 8 measures. Mutable
-// per-instance state (memories, globals, tables, value stacks, probe
-// sets, lazily compiled code) lives on the Instance; the only mutable
-// field of compiled code, the invalidation flag, is copied per instance
-// at link time (see mach.Code.InstanceView).
+// CompiledModule is the product of Engine.Compile: the decoded module,
+// its validation metadata, and the compiled code of every local function
+// — all of it up front in eager JIT modes, on first call under lazy
+// compilation. It is safe to share between goroutines and to instantiate
+// any number of times — the compile-once / instantiate-many split that
+// lets a serving deployment amortize the per-module setup cost the
+// paper's Figure 8 measures. Mutable per-instance state (memories,
+// globals, tables, value stacks, probe sets) lives on the Instance; the
+// only mutable field of compiled code, the invalidation flag, is copied
+// per instance when an instance installs the code (see
+// mach.Code.InstanceView).
 //
 // Compilation always runs without probes: instrumentation is a
 // per-instance concern, so Instance.AttachProbe recompiles the affected
@@ -37,8 +38,12 @@ type CompiledModule struct {
 	Infos []validate.FuncInfo
 	// Codes holds compiled code per local function (index-aligned with
 	// Module.Funcs). Nil in interpreter mode and under lazy compilation,
-	// where functions compile per instance on first call.
+	// where lazy holds the code instead.
 	Codes []Code
+	// lazy is the compile-on-first-call table of a lazy configuration,
+	// one entry per local function shared by every instance, so a
+	// function compiles once per module however many instances call it.
+	lazy []lazyCode
 	// Timings records the one-time setup cost: decode, validate, and
 	// the wall-clock time of the (possibly parallel) compile phase.
 	Timings Timings
@@ -106,7 +111,9 @@ func (e *Engine) Compile(bytes []byte) (*CompiledModule, error) {
 	return cm, nil
 }
 
-// compile is the uncached compile pipeline.
+// compile is the uncached compile pipeline: decode, the module-level
+// checks, one fan-out that validates (and in eager modes compiles) each
+// function, then the analysis over the validator's per-function notes.
 func (e *Engine) compile(bytes []byte) (*CompiledModule, error) {
 	t0 := time.Now()
 	m, err := wasm.Decode(bytes)
@@ -116,17 +123,27 @@ func (e *Engine) compile(bytes []byte) (*CompiledModule, error) {
 	tDecode := time.Since(t0)
 
 	t1 := time.Now()
-	infos, err := validate.Module(m)
-	if err != nil {
+	if err := validate.ModuleLevel(m); err != nil {
 		return nil, err
 	}
 	tValidate := time.Since(t1)
 
+	t2 := time.Now()
+	infos := make([]validate.FuncInfo, len(m.Funcs))
+	codes, err := e.compileAll(m, infos)
+	if err != nil {
+		return nil, err
+	}
 	cm := &CompiledModule{
-		engine: e, Module: m, Infos: infos,
+		engine: e, Module: m, Infos: infos, Codes: codes,
+		lazy: e.lazyTable(len(m.Funcs)),
 		Timings: Timings{
-			Decode: tDecode, Validate: tValidate, ModuleBytes: len(bytes),
+			Decode: tDecode, Validate: tValidate, Compile: time.Since(t2),
+			ModuleBytes: len(bytes),
 		},
+	}
+	for _, c := range codes {
+		cm.Timings.CodeBytes += c.Bytes()
 	}
 
 	ta := time.Now()
@@ -134,18 +151,6 @@ func (e *Engine) compile(bytes []byte) (*CompiledModule, error) {
 	cm.Timings.Analyze = time.Since(ta)
 	noteAnalysis(cm.Analysis, cm.Timings.Analyze)
 
-	if e.cfg.Mode != ModeInterp && !e.cfg.LazyCompile {
-		t2 := time.Now()
-		codes, err := e.compileAll(m, infos)
-		if err != nil {
-			return nil, err
-		}
-		cm.Codes = codes
-		cm.Timings.Compile = time.Since(t2)
-		for _, c := range codes {
-			cm.Timings.CodeBytes += c.Bytes()
-		}
-	}
 	hCompile.Observe(time.Since(t0))
 	if tr := telemetry.DefaultTracer(); tr.Enabled() {
 		tr.Record(telemetry.StageCompile, e.cfg.Name, t0, time.Since(t0), "")
@@ -153,20 +158,35 @@ func (e *Engine) compile(bytes []byte) (*CompiledModule, error) {
 	return cm, nil
 }
 
-// compileAll runs the tier over every local function. Functions are
-// independent compilation units (the property Copy-and-Patch and Druid
-// exploit), so the work fans out over a bounded worker pool sized by
-// Config.CompileWorkers. Compilation sees no probe sets — those are
-// per-instance — which is what makes the fan-out safe.
+// compileAll validates every local function into infos and, in eager
+// JIT modes, compiles it, returning the code (nil when nothing is
+// compiled eagerly). Each function is one unit of work: a FusedTier
+// validates and compiles it in one walk, any other tier compiles it
+// after the validator's walk. Functions are independent units (the
+// property Copy-and-Patch and Druid exploit), so the work fans out over
+// a bounded worker pool sized by Config.CompileWorkers. Compilation sees
+// no probe sets — those are per-instance — which is what makes the
+// fan-out safe.
 func (e *Engine) compileAll(m *wasm.Module, infos []validate.FuncInfo) ([]Code, error) {
 	n := len(m.Funcs)
-	codes := make([]Code, n)
 	imported := m.NumImportedFuncs()
+	eager := e.cfg.Mode != ModeInterp && !e.cfg.LazyCompile
+	fused, _ := e.cfg.Tier.(FusedTier)
+	codes := make([]Code, n)
 
 	compileOne := func(i int) (Code, error) {
+		fidx, decl, info := uint32(imported+i), &m.Funcs[i], &infos[i]
+		if !eager || fused == nil {
+			if err := validate.Function(m, fidx, decl, info); err != nil || !eager {
+				return nil, err
+			}
+		}
 		e.compileCalls.Add(1)
 		mCompileCalls.Inc()
-		return e.cfg.Tier.Compile(m, uint32(imported+i), &m.Funcs[i], &infos[i], nil)
+		if fused != nil {
+			return fused.ValidateCompile(m, fidx, decl, info)
+		}
+		return e.cfg.Tier.Compile(m, fidx, decl, info, nil)
 	}
 
 	workers := e.cfg.CompileWorkers
@@ -184,46 +204,48 @@ func (e *Engine) compileAll(m *wasm.Module, infos []validate.FuncInfo) ([]Code, 
 			}
 			codes[i] = code
 		}
-		return codes, nil
-	}
-
-	var (
-		next    atomic.Int64
-		mu      sync.Mutex
-		firstI  = n
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				code, err := compileOne(i)
-				if err != nil {
-					// Every claimed index is compiled even after a
-					// failure (errors are rare and compilation is
-					// cheap), so the surviving error is always the
-					// lowest-index one — exactly what serial
-					// compilation reports.
-					mu.Lock()
-					if i < firstI {
-						firstI, firstEr = i, err
+	} else {
+		var (
+			next    atomic.Int64
+			mu      sync.Mutex
+			firstI  = n
+			firstEr error
+			wg      sync.WaitGroup
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
 					}
-					mu.Unlock()
-					continue
+					code, err := compileOne(i)
+					if err != nil {
+						// Every claimed index is compiled even after a
+						// failure (errors are rare and compilation is
+						// cheap), so the surviving error is always the
+						// lowest-index one — exactly what serial
+						// compilation reports.
+						mu.Lock()
+						if i < firstI {
+							firstI, firstEr = i, err
+						}
+						mu.Unlock()
+						continue
+					}
+					codes[i] = code
 				}
-				codes[i] = code
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+		if firstEr != nil {
+			return nil, firstEr
+		}
 	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
+	if !eager {
+		return nil, nil
 	}
 	return codes, nil
 }
@@ -244,6 +266,7 @@ func (cm *CompiledModule) Instantiate() (*Instance, error) {
 		tr.Record(telemetry.StageLink, cm.engine.cfg.Name, t0, time.Since(t0), "")
 	}
 	inst.Timings = cm.Timings
+	inst.lazy = cm.lazy
 
 	if cm.Codes != nil {
 		imported := cm.Module.NumImportedFuncs()
@@ -261,6 +284,25 @@ func (cm *CompiledModule) Instantiate() (*Instance, error) {
 		}
 	}
 	return inst, nil
+}
+
+// lazyCode is one function's entry in a module's compile-on-first-call
+// table: the first instance to need the code compiles it, instances
+// calling it meanwhile wait for that compile, and later ones find it
+// done.
+type lazyCode struct {
+	once sync.Once
+	code Code
+	err  error
+}
+
+// lazyTable returns an empty compile-on-first-call table for n local
+// functions, or nil unless the configuration compiles lazily.
+func (e *Engine) lazyTable(n int) []lazyCode {
+	if e.cfg.Mode == ModeInterp || !e.cfg.LazyCompile {
+		return nil
+	}
+	return make([]lazyCode, n)
 }
 
 // instanceViewer is implemented by code objects that carry mutable

@@ -419,9 +419,9 @@ func TestReleaseRecyclesStacks(t *testing.T) {
 	}
 }
 
-func TestLazyTierCompilesPerInstance(t *testing.T) {
-	// Under lazy compilation the artifact carries no code; each instance
-	// compiles privately on first call, and instances stay independent.
+func TestLazyTierInstancesKeepOwnState(t *testing.T) {
+	// Under lazy compilation the artifact carries no code up front; code
+	// compiled on first call is shared, instance state is not.
 	e := engine.New(engines.WizardTiered(100), nil)
 	cm, err := e.Compile(counterModule())
 	if err != nil {
@@ -449,6 +449,65 @@ func TestLazyTierCompilesPerInstance(t *testing.T) {
 	}
 	if got[0].I32() != 1 {
 		t.Fatalf("lazy instances share state: bump = %d", got[0].I32())
+	}
+}
+
+// TestLazyTierCompilesOncePerModule: code compiled on first call lands
+// in the module's shared table, so however many pooled instances call
+// past the threshold, each hot function compiles exactly once.
+func TestLazyTierCompilesOncePerModule(t *testing.T) {
+	b := wasm.NewBuilder()
+	sig := wasm.FuncType{Results: []wasm.ValueType{wasm.I32}}
+	hot := []string{"f", "g", "h"}
+	for i, name := range hot {
+		f := b.NewFunc(name, sig)
+		f.I32Const(int32(i)).End()
+		b.Export(name, f.Idx)
+	}
+	never := b.NewFunc("never", sig) // never called, never compiled
+	never.I32Const(-1).End()
+	b.Export("never", never.Idx)
+
+	cfg := engines.WizardTiered(100)
+	e := engine.New(cfg, nil)
+	cm, err := e.Compile(b.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const instances = 8
+	pool := cm.NewPool(instances)
+	defer pool.Close()
+	// All instances are held at once, so the pool cannot hand one
+	// instance to every caller in turn.
+	insts := make([]*engine.Instance, instances)
+	for i := range insts {
+		if insts[i], err = pool.Get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, inst := range insts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, name := range hot {
+				for c := 0; c <= cfg.CallThreshold; c++ {
+					got, err := inst.Call(name)
+					if err != nil || got[0].I32() != int32(i) {
+						t.Errorf("%s = %v, %v", name, got, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, inst := range insts {
+		pool.Put(inst)
+	}
+	if got := e.CompileCalls(); got != uint64(len(hot)) {
+		t.Errorf("%d instances past the threshold compiled %d times, want once per hot function (%d)",
+			instances, got, len(hot))
 	}
 }
 
@@ -517,6 +576,22 @@ func TestCompileAllocationBudget(t *testing.T) {
 		if cap(code.Instrs) != len(code.Instrs) || cap(code.WasmPC) != len(code.WasmPC) {
 			t.Errorf("func %d: code keeps spare capacity (Instrs %d/%d, WasmPC %d/%d)", i,
 				len(code.Instrs), cap(code.Instrs), len(code.WasmPC), cap(code.WasmPC))
+		}
+	}
+}
+
+// BenchmarkColdCompile times one serial, uncached Engine.Compile of the
+// 512-function compile-wide shape under wizeng-spc: the compile half of
+// the benchmark's cold_request_ms, without the rest of the benchmark.
+func BenchmarkColdCompile(b *testing.B) {
+	module := wideModule(512)
+	cfg := engines.WizardSPC()
+	cfg.CompileWorkers = 1
+	e := engine.New(cfg, nil)
+	b.SetBytes(int64(len(module)))
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Compile(module); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

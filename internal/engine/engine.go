@@ -6,11 +6,12 @@
 // stack — the integration story of the paper's Section IV.
 //
 // Module setup is a two-phase pipeline. Engine.Compile performs the
-// per-module work — decode, validate, per-function tier compilation
-// (fanned out over a worker pool) — once, yielding an immutable,
-// goroutine-safe CompiledModule. CompiledModule.Instantiate then only
-// links imports, allocates memories/tables/globals and a value stack,
-// and runs the start function, so one compiled artifact serves many
+// per-module work once — decode, the module-level checks, then one
+// worker-pool fan-out in which each function is validated and compiled
+// (in a single walk for a FusedTier), then the writes-memory analysis —
+// yielding a goroutine-safe CompiledModule. CompiledModule.Instantiate
+// then only links imports, allocates memories/tables/globals and a value
+// stack, and runs the start function, so one compiled artifact serves many
 // concurrent instances. Engine.Instantiate composes the two for callers
 // that load a module exactly once, and a codecache.Cache plugged into
 // Config memoizes Compile across engines of the same configuration.
@@ -65,11 +66,22 @@ func (m Mode) String() string {
 
 // Tier is a compiler that can translate functions for this engine.
 // Adapters in internal/engines wrap the single-pass compiler, the
-// optimizing compiler and the rewriting translator as Tiers.
+// optimizing compiler and the rewriting translator as Tiers. Compile
+// receives the function's validated FuncInfo, which instances share, and
+// must not write it.
 type Tier interface {
 	Name() string
 	Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo,
 		probes *rt.ProbeSet) (Code, error)
+}
+
+// FusedTier is a Tier whose compiler validates as it compiles.
+// Engine.Compile hands ValidateCompile each function's FuncInfo still
+// empty, and it validates the body into info in the same walk that
+// translates it; any other tier compiles after a separate validator walk.
+type FusedTier interface {
+	Tier
+	ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo) (Code, error)
 }
 
 // Code is executable code produced by a Tier.
@@ -132,13 +144,17 @@ type Config struct {
 // Timings records per-phase setup costs for the compile-speed and
 // SQ-space experiments (Figures 8–10).
 type Timings struct {
-	Decode   time.Duration
+	Decode time.Duration
+	// Validate is the module-level checks only (validate.ModuleLevel).
 	Validate time.Duration
-	// Analyze is the writes-memory scan (internal/analysis) between
-	// validation and tier compilation. Zero when the module rehydrated
-	// from disk (the read-only bits travel inside the artifact).
-	Analyze time.Duration
+	// Compile is the per-function fan-out: each body's validation and,
+	// in eager JIT modes, its compilation (one walk for a FusedTier).
 	Compile time.Duration
+	// Analyze is the writes-memory fixpoint (internal/analysis) over the
+	// validator's per-function notes, after the fan-out. Zero when the
+	// module rehydrated from disk (the read-only bits travel inside the
+	// artifact).
+	Analyze time.Duration
 	// Rehydrate is the time spent materializing a persisted artifact's
 	// sidetables and code sections on a disk-cache load — the pipeline
 	// work that replaces Validate+Compile on the zero-compile path.
@@ -236,6 +252,10 @@ type Instance struct {
 	Ctx     *rt.Context
 	Infos   []validate.FuncInfo
 	Timings Timings
+
+	// lazy is the module's shared compile-on-first-call table (nil
+	// unless the configuration compiles lazily).
+	lazy []lazyCode
 
 	// released latches the first Release so a double release (including
 	// a racing one) cannot push the same value stack into the engine's
@@ -409,9 +429,26 @@ func (e *Engine) link(m *wasm.Module, infos []validate.FuncInfo) (*Instance, err
 	return inst, nil
 }
 
+// compileFunc installs compiled code for f. Unprobed code of a lazy
+// configuration comes from the module's shared table, compiled there by
+// whichever instance needed it first; a probed function, or one whose
+// probes an eager configuration recompiles, compiles privately.
 func (inst *Instance) compileFunc(f *rt.FuncInst) error {
-	inst.Engine.compileCalls.Add(1)
-	code, err := inst.Engine.cfg.Tier.Compile(inst.RT.Module, f.Idx, f.Decl, f.Info, f.Probes)
+	e := inst.Engine
+	if inst.lazy != nil && f.Probes == nil {
+		lc := &inst.lazy[int(f.Idx)-inst.RT.Module.NumImportedFuncs()]
+		lc.once.Do(func() {
+			e.compileCalls.Add(1)
+			lc.code, lc.err = e.cfg.Tier.Compile(inst.RT.Module, f.Idx, f.Decl, f.Info, nil)
+		})
+		if lc.err != nil {
+			return lc.err
+		}
+		f.Compiled = instanceCode(lc.code)
+		return nil
+	}
+	e.compileCalls.Add(1)
+	code, err := e.cfg.Tier.Compile(inst.RT.Module, f.Idx, f.Decl, f.Info, f.Probes)
 	if err != nil {
 		return err
 	}

@@ -23,10 +23,17 @@ type SPCTier struct {
 // Name implements engine.Tier.
 func (t SPCTier) Name() string { return t.TierName }
 
-// Compile implements engine.Tier.
+// Compile implements engine.Tier. info is shared, so the walk validates
+// into scratch.
 func (t SPCTier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo, probes *rt.ProbeSet) (engine.Code, error) {
-	return spc.Compile(m, fidx, decl, info, probes, t.Cfg)
+	return spc.Compile(m, fidx, decl, nil, probes, t.Cfg)
+}
+
+// ValidateCompile implements engine.FusedTier.
+func (t SPCTier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
+	info *validate.FuncInfo) (engine.Code, error) {
+	return spc.Compile(m, fidx, decl, info, nil, t.Cfg)
 }
 
 // Catalog returns one representative configuration per executor family

@@ -136,9 +136,16 @@ func (a *Asm) Finish() (*Code, error) {
 	if unbound > 0 {
 		return nil, fmt.Errorf("mach.Asm: %d labels left unbound", unbound)
 	}
+	// make-then-copy is the form the Go compiler allocates without
+	// zeroing first.
+	src, srcPC := a.code, a.wasmPC
+	instrs := make([]Instr, len(src))
+	copy(instrs, src)
+	wasmPC := make([]int32, len(srcPC))
+	copy(wasmPC, srcPC)
 	code := &Code{
-		Instrs: append(make([]Instr, 0, len(a.code)), a.code...),
-		WasmPC: append(make([]int32, 0, len(a.wasmPC)), a.wasmPC...),
+		Instrs: instrs,
+		WasmPC: wasmPC,
 		// One MachCode instruction stands in for one native
 		// instruction; 4 bytes approximates RISC-style encoding for
 		// compile-throughput accounting.

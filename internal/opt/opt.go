@@ -41,7 +41,8 @@ type Config struct {
 // Default returns the standard optimizing configuration.
 func Default() Config { return Config{PinLocals: 16, Passes: 1} }
 
-// Compile runs the full pipeline on one function.
+// Compile runs the full pipeline on one function. Like spc.Compile, it
+// validates into info, or into scratch when info is nil.
 func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo,
 	probes *rt.ProbeSet, cfg Config) (*mach.Code, error) {
 
@@ -69,8 +70,15 @@ type Tier struct {
 // Name implements engine.Tier.
 func (t Tier) Name() string { return t.TierName }
 
-// Compile implements engine.Tier.
+// Compile implements engine.Tier. info is shared, so the walk validates
+// into scratch.
 func (t Tier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo, probes *rt.ProbeSet) (engine.Code, error) {
-	return Compile(m, fidx, decl, info, probes, t.Cfg)
+	return Compile(m, fidx, decl, nil, probes, t.Cfg)
+}
+
+// ValidateCompile implements engine.FusedTier.
+func (t Tier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
+	info *validate.FuncInfo) (engine.Code, error) {
+	return Compile(m, fidx, decl, info, nil, t.Cfg)
 }

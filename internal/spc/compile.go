@@ -1,8 +1,6 @@
 package spc
 
 import (
-	"fmt"
-
 	"wizgo/internal/mach"
 	"wizgo/internal/rt"
 	"wizgo/internal/validate"
@@ -60,7 +58,6 @@ type compiler struct {
 	counters   []*rt.CounterProbe
 	tosProbes  []rt.TosProbe
 
-	r    wasm.Reader
 	opPC int
 }
 
@@ -83,10 +80,6 @@ func (c *compiler) snapshot() *state {
 	cp.avals = append(cp.avals[:0], c.st.avals...)
 	cp.h, cp.regs = c.st.h, c.st.regs
 	return cp
-}
-
-func (c *compiler) fail(format string, args ...any) error {
-	return fmt.Errorf("spc: func %d at +%d: %s", c.fidx, c.opPC, fmt.Sprintf(format, args...))
 }
 
 // ---- slot and register plumbing ----
@@ -148,13 +141,25 @@ func (c *compiler) ensureReg(v *aval, slotIdx int) int8 {
 // eager operand tagging.
 func (c *compiler) push(av aval) *aval {
 	idx := c.nLocals + c.st.h
-	c.st.avals[idx] = av
+	if idx >= len(c.st.avals) {
+		c.room(idx + 1)
+	}
+	// Field by field: callers build av one narrow store at a time, and
+	// one wide copy of it would stall on store forwarding.
+	s := &c.st.avals[idx]
+	s.typ, s.reg, s.isConst, s.konst, s.inMem, s.tagFresh = av.typ, av.reg, av.isConst, av.konst, av.inMem, av.tagFresh
 	c.st.h++
 	if c.cfg.Tags == rt.TagsEager || c.cfg.Tags == rt.TagsEagerOperands {
 		c.emitTag(idx, av.typ)
 		c.st.avals[idx].tagFresh = true
 	}
 	return &c.st.avals[idx]
+}
+
+// room grows the abstract stack to at least n slots. Only push and
+// resetState set a height no earlier instruction reached.
+func (c *compiler) room(n int) {
+	c.st.avals = append(c.st.avals, make([]aval, n-len(c.st.avals))...)
 }
 
 // pop removes the top operand and returns a copy. The caller must
@@ -223,6 +228,9 @@ func (c *compiler) dropRegs() {
 // resetState installs the canonical merge state: operand stack of the
 // given types, everything in memory, no registers, no constants.
 func (c *compiler) resetState(height int, types []wasm.ValueType) {
+	if n := c.nLocals + height; n > len(c.st.avals) {
+		c.room(n)
+	}
 	c.st.regs.reset()
 	for i := 0; i < c.nLocals; i++ {
 		av := &c.st.avals[i]

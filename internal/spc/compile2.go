@@ -4,8 +4,12 @@ import (
 	"wizgo/internal/mach"
 	"wizgo/internal/numx"
 	"wizgo/internal/rt"
+	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 )
+
+// initialOperands is the operand-stack room a function starts with.
+const initialOperands = 16
 
 // flushExcept flushes all dirty slots except the top n operand slots
 // (used when the top holds a condition about to be consumed).
@@ -28,33 +32,20 @@ func (c *compiler) flushExcept(n int) {
 	}
 }
 
-func (c *compiler) blockType() (in, out []wasm.ValueType, err error) {
-	bt, err := c.r.S33()
-	if err != nil {
-		return nil, nil, err
-	}
-	if bt >= 0 {
-		t := c.m.Types[bt]
-		return t.Params, t.Results, nil
-	}
-	if bt == -64 {
-		return nil, nil, nil
-	}
-	return nil, wasm.ValueType(byte(bt & 0x7F)).Single(), nil
-}
-
-func (c *compiler) compile() (*mach.Code, error) {
+// compile drives the validator's walk over the body and translates each
+// instruction as the walk hands it over, already checked.
+func (c *compiler) compile(w validate.Walker) (*mach.Code, error) {
 	ft := c.m.Types[c.decl.TypeIdx]
+	c.info = w.Info()
 	c.nLocals = len(c.info.LocalTypes)
 	// Zeroed slots in the recycled buffer (append-of-make extends in
-	// place, without a temporary).
-	c.st.avals = append(c.st.avals[:0], make([]aval, c.nLocals+c.info.MaxStack)...)
+	// place, without a temporary). The operand stack's height is not
+	// known until the walk is done, so it grows as the walk goes (see
+	// room).
+	c.st.avals = append(c.st.avals[:0], make([]aval, c.nLocals+initialOperands)...)
 	c.st.regs.limit = c.cfg.NumRegs
-	c.r = wasm.Reader{Bytes: c.decl.Body}
 
-	if err := c.analyzeLocals(); err != nil {
-		return nil, err
-	}
+	c.analyzeLocals()
 	c.prologue(ft)
 	c.pinnedPrologue(len(ft.Params))
 
@@ -66,19 +57,17 @@ func (c *compiler) compile() (*mach.Code, error) {
 		ifReachable: true,
 	})
 
-	for c.r.Len() > 0 {
-		c.opPC = c.r.Pos
-		op, err := c.r.ReadOpcode()
-		if err != nil {
-			return nil, err
+	for {
+		in, err := w.Next()
+		if in == nil {
+			if err != nil {
+				return nil, err
+			}
+			break
 		}
-		if len(c.ctrls) == 0 {
-			return nil, c.fail("instructions after function end")
-		}
-		c.asm.SetWasmPC(c.opPC)
-		if err := c.instr(op); err != nil {
-			return nil, err
-		}
+		c.opPC = in.PC
+		c.asm.SetWasmPC(in.PC)
+		c.instr(in)
 	}
 
 	code, err := c.asm.Finish()

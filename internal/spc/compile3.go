@@ -3,14 +3,17 @@ package spc
 import (
 	"wizgo/internal/mach"
 	"wizgo/internal/rt"
+	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 )
 
-// instr compiles one Wasm instruction. Unreachable code is decoded but
+// instr compiles one validated Wasm instruction. Unreachable code
 // generates nothing; control nesting is still tracked so labels resolve.
-func (c *compiler) instr(op wasm.Opcode) error {
+func (c *compiler) instr(in *validate.Instr) {
+	op := in.Op
 	if !c.reachable() {
-		return c.skipInstr(op)
+		c.skipInstr(op)
+		return
 	}
 
 	// Probes fire before the instruction executes; the site is an
@@ -31,27 +34,19 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.setUnreachable()
 	case wasm.OpNop:
 	case wasm.OpBlock:
-		in, out, err := c.blockType()
-		if err != nil {
-			return err
-		}
 		c.ctrls = append(c.ctrls, ctrl{
-			op: wasm.OpBlock, startTypes: in, endTypes: out,
-			height:   c.st.h - len(in),
+			op: wasm.OpBlock, startTypes: in.In, endTypes: in.Out,
+			height:   c.st.h - len(in.In),
 			endLabel: c.asm.NewLabel(), elseLabel: -1, headerLabel: -1,
 			ifReachable: true,
 		})
 	case wasm.OpLoop:
-		in, out, err := c.blockType()
-		if err != nil {
-			return err
-		}
 		// Loop headers are merge points with unknown back-edge state:
 		// canonicalize (flush + forget registers and constants), bind
 		// the header, and plant the OSR/deopt checkpoint.
 		c.flush()
-		c.resetState(c.st.h, in)
-		bodyPC := c.r.Pos
+		c.resetState(c.st.h, in.In)
+		bodyPC := in.End
 		header := c.asm.NewLabel()
 		c.asm.Bind(header)
 		c.asm.Emit(mach.Instr{Op: mach.OCheckPoint, A: int32(c.nLocals + c.st.h), Imm: uint64(bodyPC)})
@@ -70,23 +65,19 @@ func (c *compiler) instr(op wasm.Opcode) error {
 			c.osrEntries[bodyPC] = c.asm.Pos()
 		}
 		c.ctrls = append(c.ctrls, ctrl{
-			op: wasm.OpLoop, startTypes: in, endTypes: out,
-			height:      c.st.h - len(in),
+			op: wasm.OpLoop, startTypes: in.In, endTypes: in.Out,
+			height:      c.st.h - len(in.In),
 			headerLabel: header, endLabel: -1, elseLabel: -1,
 			ifReachable: true,
 		})
 	case wasm.OpIf:
-		in, out, err := c.blockType()
-		if err != nil {
-			return err
-		}
 		elseLabel := c.asm.NewLabel()
 		endLabel := c.asm.NewLabel()
 		c.flushExcept(1)
 		c.emitCondBranch(elseLabel, true)
 		fr := ctrl{
-			op: wasm.OpIf, startTypes: in, endTypes: out,
-			height:   c.st.h - len(in),
+			op: wasm.OpIf, startTypes: in.In, endTypes: in.Out,
+			height:   c.st.h - len(in.In),
 			endLabel: endLabel, elseLabel: elseLabel, headerLabel: -1,
 			ifReachable: true,
 		}
@@ -106,19 +97,12 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.st.restore(fr.saved)
 		fr.unreachable = !fr.ifReachable
 	case wasm.OpEnd:
-		return c.compileEnd()
+		c.compileEnd()
 	case wasm.OpBr:
-		depth, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		c.branchTo(depth)
+		c.branchTo(in.Idx)
 		c.setUnreachable()
 	case wasm.OpBrIf:
-		depth, err := c.r.U32()
-		if err != nil {
-			return err
-		}
+		depth := in.Idx
 		fr := c.frameAt(depth)
 		fr.branched = true
 		arity := fr.labelArity()
@@ -132,7 +116,7 @@ func (c *compiler) instr(op wasm.Opcode) error {
 					c.branchTo(depth)
 					c.setUnreachable()
 				}
-				return nil
+				return
 			}
 		}
 		c.flushExcept(1)
@@ -154,40 +138,23 @@ func (c *compiler) instr(op wasm.Opcode) error {
 			c.asm.Bind(skip)
 		}
 	case wasm.OpBrTable:
-		return c.compileBrTable()
+		c.compileBrTable(in.Targets)
 	case wasm.OpReturn:
 		c.epilogueReturn(false)
 		c.setUnreachable()
 	case wasm.OpCall:
-		fidx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		ft, err := c.m.FuncTypeAt(fidx)
-		if err != nil {
-			return c.fail("%v", err)
-		}
-		c.observableCall(c.opPC, len(ft.Params))
-		argBase := c.nLocals + c.st.h - len(ft.Params)
-		c.asm.Emit(mach.Instr{Op: mach.OCall, A: int32(fidx), B: int32(argBase)})
-		c.finishCall(ft)
+		c.observableCall(c.opPC, len(in.In))
+		argBase := c.nLocals + c.st.h - len(in.In)
+		c.asm.Emit(mach.Instr{Op: mach.OCall, A: int32(in.Idx), B: int32(argBase)})
+		c.finishCall(len(in.In), in.Out)
 	case wasm.OpCallIndirect:
-		typeIdx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		tblIdx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
 		idx := c.pop()
 		ridx := c.ensureReg(&idx, c.nLocals+c.st.h)
-		ft := c.m.Types[typeIdx]
-		c.observableCall(c.opPC, len(ft.Params))
-		argBase := c.nLocals + c.st.h - len(ft.Params)
-		c.asm.Emit(mach.Instr{Op: mach.OCallIndirect, A: int32(typeIdx), B: int32(argBase), C: int32(ridx), Imm: uint64(tblIdx)})
+		c.observableCall(c.opPC, len(in.In))
+		argBase := c.nLocals + c.st.h - len(in.In)
+		c.asm.Emit(mach.Instr{Op: mach.OCallIndirect, A: int32(in.Idx), B: int32(argBase), C: int32(ridx), Imm: in.Imm})
 		c.release(&idx)
-		c.finishCall(ft)
+		c.finishCall(len(in.In), in.Out)
 
 	case wasm.OpDrop:
 		if c.pending != nil {
@@ -198,97 +165,44 @@ func (c *compiler) instr(op wasm.Opcode) error {
 				c.st.regs.release(p.rc)
 			}
 			c.st.h--
-			return nil
+			return
 		}
 		v := c.pop()
 		c.release(&v)
-	case wasm.OpSelect:
-		c.compileSelect()
-	case wasm.OpSelectT:
-		n, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		if _, err := c.r.Take(int(n)); err != nil {
-			return err
-		}
+	case wasm.OpSelect, wasm.OpSelectT:
 		c.compileSelect()
 
 	case wasm.OpLocalGet:
-		idx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		c.localGet(int(idx))
+		c.localGet(int(in.Idx))
 	case wasm.OpLocalSet:
-		idx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		c.localSet(int(idx))
+		c.localSet(int(in.Idx))
 	case wasm.OpLocalTee:
-		idx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		c.localSet(int(idx))
-		c.localGet(int(idx))
+		c.localSet(int(in.Idx))
+		c.localGet(int(in.Idx))
 	case wasm.OpGlobalGet:
-		idx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		t, _, _ := c.m.GlobalTypeAt(idx)
 		r := c.alloc()
-		c.asm.Emit(mach.Instr{Op: mach.OGlobalGet, A: int32(r), Imm: uint64(idx)})
-		c.push(aval{typ: t, reg: r})
+		c.asm.Emit(mach.Instr{Op: mach.OGlobalGet, A: int32(r), Imm: uint64(in.Idx)})
+		c.push(aval{typ: in.Type, reg: r})
 	case wasm.OpGlobalSet:
-		idx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		t, _, _ := c.m.GlobalTypeAt(idx)
 		v := c.pop()
 		rv := c.ensureReg(&v, c.nLocals+c.st.h)
-		c.asm.Emit(mach.Instr{Op: mach.OGlobalSet, B: int32(rv), C: int32(wasm.TagOf(t)), Imm: uint64(idx)})
+		c.asm.Emit(mach.Instr{Op: mach.OGlobalSet, B: int32(rv), C: int32(wasm.TagOf(in.Type)), Imm: uint64(in.Idx)})
 		c.release(&v)
 
 	case wasm.OpI32Const:
-		v, err := c.r.S32()
-		if err != nil {
-			return err
-		}
-		c.pushConst(wasm.I32, uint64(uint32(v)))
+		c.pushConst(wasm.I32, in.Imm)
 	case wasm.OpI64Const:
-		v, err := c.r.S64()
-		if err != nil {
-			return err
-		}
-		c.pushConst(wasm.I64, uint64(v))
+		c.pushConst(wasm.I64, in.Imm)
 	case wasm.OpF32Const:
-		bits, err := c.r.F32()
-		if err != nil {
-			return err
-		}
-		c.pushConst(wasm.F32, uint64(bits))
+		c.pushConst(wasm.F32, in.Imm)
 	case wasm.OpF64Const:
-		bits, err := c.r.F64()
-		if err != nil {
-			return err
-		}
-		c.pushConst(wasm.F64, bits)
+		c.pushConst(wasm.F64, in.Imm)
 
 	case wasm.OpMemorySize:
-		if _, err := c.r.Byte(); err != nil {
-			return err
-		}
 		r := c.alloc()
 		c.asm.Emit(mach.Instr{Op: mach.OMemSize, A: int32(r)})
 		c.push(aval{typ: wasm.I32, reg: r})
 	case wasm.OpMemoryGrow:
-		if _, err := c.r.Byte(); err != nil {
-			return err
-		}
 		v := c.pop()
 		rv := c.ensureReg(&v, c.nLocals+c.st.h)
 		rd := c.destReg(&v)
@@ -296,9 +210,6 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.asm.Emit(mach.Instr{Op: mach.OMemGrow, A: int32(rd), B: int32(rv)})
 		c.push(aval{typ: wasm.I32, reg: rd})
 	case wasm.OpMemoryCopy:
-		if _, err := c.r.Take(2); err != nil {
-			return err
-		}
 		n := c.pop()
 		rn := c.ensureReg(&n, c.nLocals+c.st.h)
 		src := c.pop()
@@ -308,9 +219,6 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.asm.Emit(mach.Instr{Op: mach.OMemCopy, A: int32(rd), B: int32(rs), C: int32(rn)})
 		c.releaseAll(&n, &src, &dst)
 	case wasm.OpMemoryFill:
-		if _, err := c.r.Byte(); err != nil {
-			return err
-		}
 		n := c.pop()
 		rn := c.ensureReg(&n, c.nLocals+c.st.h)
 		val := c.pop()
@@ -321,9 +229,6 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.releaseAll(&n, &val, &dst)
 
 	case wasm.OpRefNull:
-		if _, err := c.r.Byte(); err != nil {
-			return err
-		}
 		c.pushConst(wasm.ExternRef, wasm.NullRef)
 	case wasm.OpRefIsNull:
 		v := c.pop()
@@ -333,16 +238,11 @@ func (c *compiler) instr(op wasm.Opcode) error {
 		c.asm.Emit(mach.Instr{Op: mach.OI64Eqz, A: int32(rd), B: int32(rv)})
 		c.push(aval{typ: wasm.I32, reg: rd})
 	case wasm.OpRefFunc:
-		fidx, err := c.r.U32()
-		if err != nil {
-			return err
-		}
-		c.pushConst(wasm.FuncRef, uint64(fidx)+1)
+		c.pushConst(wasm.FuncRef, uint64(in.Idx)+1)
 
 	default:
-		return c.compileNumericOrMem(op)
+		c.compileNumericOrMem(op, in.Imm)
 	}
-	return nil
 }
 
 // pushConst pushes a constant abstract value, or materializes it when
@@ -357,15 +257,15 @@ func (c *compiler) pushConst(t wasm.ValueType, bits uint64) {
 	c.push(aval{typ: t, reg: r})
 }
 
-// finishCall pops arguments and pushes results after a call site.
-// Registers are dropped: the callee clobbered them.
-func (c *compiler) finishCall(ft wasm.FuncType) {
-	for range ft.Params {
+// finishCall pops nparams arguments and pushes results after a call
+// site. Registers are dropped: the callee clobbered them.
+func (c *compiler) finishCall(nparams int, results []wasm.ValueType) {
+	for range nparams {
 		v := c.pop()
 		c.release(&v)
 	}
 	c.dropRegs()
-	for _, rtyp := range ft.Results {
+	for _, rtyp := range results {
 		c.push(aval{typ: rtyp, reg: noReg, inMem: true, tagFresh: true})
 	}
 }
@@ -519,7 +419,7 @@ func (c *compiler) localSet(idx int) {
 
 // compileEnd closes the innermost construct: the merge-point logic of
 // the single-pass approach.
-func (c *compiler) compileEnd() error {
+func (c *compiler) compileEnd() {
 	fr := c.ctrls[len(c.ctrls)-1]
 	c.ctrls = c.ctrls[:len(c.ctrls)-1]
 	if fr.saved != nil {
@@ -542,7 +442,6 @@ func (c *compiler) compileEnd() error {
 				c.ctrls[len(c.ctrls)-1].unreachable = true
 			}
 		}
-		return nil
 
 	case fr.op == wasm.OpIf && !fr.hasElse:
 		if fr.elseLabel < 0 {
@@ -552,7 +451,7 @@ func (c *compiler) compileEnd() error {
 			if len(c.ctrls) > 0 {
 				c.ctrls[len(c.ctrls)-1].unreachable = true
 			}
-			return nil
+			return
 		}
 		// The false edge lands here carrying the snapshot state.
 		if live {
@@ -566,7 +465,6 @@ func (c *compiler) compileEnd() error {
 		}
 		c.asm.Bind(fr.endLabel)
 		c.resetState(fr.height+len(fr.endTypes), fr.endTypes)
-		return nil
 
 	case fr.op == 0:
 		// Function end.
@@ -583,7 +481,6 @@ func (c *compiler) compileEnd() error {
 			c.st.h = fr.height + len(fr.endTypes)
 			c.epilogueReturn(true)
 		}
-		return nil
 
 	default: // block, or if with else
 		if live && fr.branched {
@@ -601,26 +498,16 @@ func (c *compiler) compileEnd() error {
 		}
 		// Pure fall-through keeps the abstract state (registers and
 		// constants survive the block).
-		return nil
 	}
 }
 
-func (c *compiler) compileBrTable() error {
-	n, err := c.r.U32()
-	if err != nil {
-		return err
-	}
-	depths := make([]uint32, n+1)
-	for i := range depths {
-		if depths[i], err = c.r.U32(); err != nil {
-			return err
-		}
-	}
+// compileBrTable compiles a br_table over depths, the default last.
+func (c *compiler) compileBrTable(depths []uint32) {
 	idx := c.pop()
 	ridx := c.ensureReg(&idx, c.nLocals+c.st.h)
 	c.flush()
 
-	def := c.frameAt(depths[n])
+	def := c.frameAt(depths[len(depths)-1])
 	arity := def.labelArity()
 
 	labels := make([]int, len(depths))
@@ -663,23 +550,18 @@ func (c *compiler) compileBrTable() error {
 		c.asm.EmitBranch(mach.Instr{Op: mach.OJump}, target)
 	}
 	c.setUnreachable()
-	return nil
 }
 
-// skipInstr decodes but does not compile an instruction in unreachable
-// code, tracking control nesting.
-func (c *compiler) skipInstr(op wasm.Opcode) error {
+// skipInstr compiles nothing for an instruction in unreachable code,
+// only tracking control nesting.
+func (c *compiler) skipInstr(op wasm.Opcode) {
 	switch op {
 	case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-		if _, _, err := c.blockType(); err != nil {
-			return err
-		}
 		c.ctrls = append(c.ctrls, ctrl{
 			op: op, unreachable: true, ifReachable: false,
 			endLabel: -1, elseLabel: -1, headerLabel: -1,
 			height: c.st.h,
 		})
-		return nil
 	case wasm.OpElse:
 		fr := &c.ctrls[len(c.ctrls)-1]
 		fr.hasElse = true
@@ -690,10 +572,7 @@ func (c *compiler) skipInstr(op wasm.Opcode) error {
 			c.st.restore(fr.saved)
 			fr.unreachable = false
 		}
-		return nil
 	case wasm.OpEnd:
-		return c.compileEnd()
-	default:
-		return c.r.SkipImm(op)
+		c.compileEnd()
 	}
 }

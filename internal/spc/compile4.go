@@ -19,59 +19,45 @@ func isFusableCmp(op wasm.Opcode) (wasm.ValueType, bool) {
 	return 0, false
 }
 
-// compileNumericOrMem handles loads, stores, and the table-driven
-// numeric instruction set.
-func (c *compiler) compileNumericOrMem(op wasm.Opcode) error {
-	switch op.Imm() {
-	case wasm.ImmMem:
-		if _, err := c.r.U32(); err != nil { // align
-			return err
-		}
-		offset, err := c.r.U32()
-		if err != nil {
-			return err
-		}
+// compileNumericOrMem handles loads and stores (offset is the memory
+// access's) and the table-driven numeric instruction set.
+func (c *compiler) compileNumericOrMem(op wasm.Opcode, offset uint64) {
+	if op.Imm() == wasm.ImmMem {
 		if mop, resT := loadForm(op); mop != 0 {
 			c.compileLoad(mop, resT, offset)
-			return nil
+			return
 		}
 		c.compileStore(storeForm(op), offset)
-		return nil
+		return
 	}
-
-	params, results, ok := op.Sig()
-	if !ok {
-		return c.fail("unsupported opcode %v", op)
-	}
-	switch len(params) {
-	case 1:
+	// Every other opcode reaching here is a validated unary or binary
+	// numeric instruction.
+	params, results, _ := op.Sig()
+	if len(params) == 1 {
 		c.compileUn(op, results[0])
-	case 2:
+	} else {
 		c.compileBin(op, results[0])
-	default:
-		return c.fail("unexpected arity for %v", op)
 	}
-	return nil
 }
 
-func (c *compiler) compileLoad(mop mach.Op, resT wasm.ValueType, offset uint32) {
+func (c *compiler) compileLoad(mop mach.Op, resT wasm.ValueType, offset uint64) {
 	addr := c.pop()
 	aSlot := c.nLocals + c.st.h
 	ra := c.ensureReg(&addr, aSlot)
 	rd := c.destReg(&addr)
 	c.releaseAll(&addr)
-	c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(ra), Imm: uint64(offset)})
+	c.asm.Emit(mach.Instr{Op: mop, A: int32(rd), B: int32(ra), Imm: offset})
 	c.push(aval{typ: resT, reg: rd})
 }
 
-func (c *compiler) compileStore(mop mach.Op, offset uint32) {
+func (c *compiler) compileStore(mop mach.Op, offset uint64) {
 	val := c.pop()
 	vSlot := c.nLocals + c.st.h
 	rv := c.ensureReg(&val, vSlot)
 	addr := c.pop()
 	aSlot := c.nLocals + c.st.h
 	ra := c.ensureReg(&addr, aSlot)
-	c.asm.Emit(mach.Instr{Op: mop, B: int32(ra), C: int32(rv), Imm: uint64(offset)})
+	c.asm.Emit(mach.Instr{Op: mop, B: int32(ra), C: int32(rv), Imm: offset})
 	c.releaseAll(&val, &addr)
 }
 

@@ -10,31 +10,30 @@ import (
 // registers above the scratch window. Pinned locals keep their register
 // across merges and calls (callee-saved style), which is precisely what
 // a single forward pass cannot provide and why optimizing tiers beat
-// baselines on loop-heavy code.
-func (c *compiler) analyzeLocals() error {
+// baselines on loop-heavy code. The body is not validated yet: the
+// count stops at the first bytes that do not decode, and the walk that
+// follows reports them.
+func (c *compiler) analyzeLocals() {
 	if c.cfg.PinLocals <= 0 {
-		return nil
+		return
 	}
 	counts := make([]int, len(c.info.LocalTypes))
 	r := wasm.NewReader(c.decl.Body)
 	for r.Len() > 0 {
 		op, err := r.ReadOpcode()
 		if err != nil {
-			return err
+			break
 		}
-		switch op {
-		case wasm.OpLocalGet, wasm.OpLocalSet, wasm.OpLocalTee:
+		if op == wasm.OpLocalGet || op == wasm.OpLocalSet || op == wasm.OpLocalTee {
 			idx, err := r.U32()
 			if err != nil {
-				return err
+				break
 			}
 			if int(idx) < len(counts) {
 				counts[idx]++
 			}
-		default:
-			if err := r.SkipImm(op); err != nil {
-				return err
-			}
+		} else if r.SkipImm(op) != nil {
+			break
 		}
 	}
 
@@ -64,7 +63,6 @@ func (c *compiler) analyzeLocals() error {
 		c.pinned[cands[i].idx] = next
 		next++
 	}
-	return nil
 }
 
 // isPinned reports whether slot (a local index) has a dedicated register.

@@ -15,6 +15,11 @@
 // Config flag so the paper's ablations (Figure 4) and tagging strategies
 // (Figure 5) are directly reproducible.
 //
+// The pass is the validator's own walk (validate.Walk): each instruction
+// is decoded and type-checked once, by the validator, and handed to the
+// compiler with its immediates, so nothing here reads bytecode except
+// the optimizing tier's local-use prescan (pin.go).
+//
 // Like Wizard-SPC, it does not scramble the frame: every local and
 // operand slot has a fixed value-stack location shared with the
 // interpreter, which is what makes tier-up/tier-down a frame rewrite and
@@ -72,9 +77,14 @@ func Wizard() Config {
 	}
 }
 
-// Compile translates one function to MachCode. probes may be nil; when
-// present, probe sites compile to direct calls (and intrinsics under
-// cfg.OptProbes), the design of Section IV-D.
+// Compile validates and translates one function to MachCode in one
+// walk: the validator's step decodes and checks each instruction, then
+// the compiler translates it. info receives the validator's output; a
+// recompile passes nil, because the FuncInfo it already holds is shared
+// with every instance and must not be written, and the walk then
+// validates into scratch. probes may be nil; when present, probe sites
+// compile to direct calls (and intrinsics under cfg.OptProbes), the
+// design of Section IV-D.
 func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo,
 	probes *rt.ProbeSet, cfg Config) (*mach.Code, error) {
 
@@ -85,11 +95,13 @@ func Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncIn
 	if cfg.NumRegs <= 0 || cfg.NumRegs > mach.AllocatableRegs {
 		cfg.NumRegs = mach.AllocatableRegs
 	}
+	w := validate.Walk(m, fidx, decl, info)
+	defer w.Release()
 	c := compilers.Get().(*compiler)
 	defer c.recycle()
-	c.m, c.fidx, c.decl, c.info, c.probes, c.cfg = m, fidx, decl, info, probes, cfg
+	c.m, c.fidx, c.decl, c.probes, c.cfg = m, fidx, decl, probes, cfg
 	c.asm = mach.NewAsm()
-	return c.compile()
+	return c.compile(w)
 }
 
 // compilers recycles compiler scratch (abstract state, control stack,

@@ -40,15 +40,21 @@ func (r *regFile) reset() {
 	r.cursor = 0
 }
 
-// tryAlloc returns a free register or -1.
+// tryAlloc returns a free register or -1, searching round-robin from
+// the cursor (always below limit).
 func (r *regFile) tryAlloc() int8 {
+	reg := r.cursor
 	for i := 0; i < r.limit; i++ {
-		reg := (r.cursor + i) % r.limit
+		next := reg + 1
+		if next == r.limit {
+			next = 0
+		}
 		if r.refs[reg] == 0 {
-			r.cursor = (reg + 1) % r.limit
+			r.cursor = next
 			r.refs[reg] = 1
 			return int8(reg)
 		}
+		reg = next
 	}
 	return noReg
 }

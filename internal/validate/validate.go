@@ -5,10 +5,16 @@
 // interpreter uses to take branches in O(1) without rewriting bytecode
 // (Titzer, OOPSLA 2022), and records the metadata (max operand stack
 // height, local types) every execution tier needs.
+//
+// The walk is a step function: Walker.Next decodes one instruction and
+// its immediates, type-checks it, records its sidetable entries and
+// hands the decoded Instr back. Module and Function loop over the step;
+// the single-pass compiler drives the same step and translates each
+// instruction as it is handed over, so a body is decoded and
+// type-checked once whether or not it is also compiled.
 package validate
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -107,6 +113,30 @@ func (f *ctrlFrame) labelTypes() []wasm.ValueType {
 	return f.endTypes
 }
 
+// Instr is one decoded, type-checked instruction as Walker.Next hands it
+// to a compiler. Each opcode sets only the fields it uses; the others
+// hold whatever an earlier instruction left there. The Instr and the
+// slices it points into belong to the walker and stay valid until the
+// next call to Next.
+type Instr struct {
+	Op wasm.Opcode
+	// PC is the body offset of the opcode, End the offset just past its
+	// immediates (a loop's body starts there).
+	PC, End int
+	// Idx is the index immediate: a branch depth, or a local, global,
+	// function or type index.
+	Idx uint32
+	// Imm is a constant's bits, a memory access's offset or
+	// call_indirect's table index.
+	Imm uint64
+	// In and Out are a block's parameter and result types, or a call's.
+	In, Out []wasm.ValueType
+	// Type is global.get and global.set's value type.
+	Type wasm.ValueType
+	// Targets holds br_table's depths, the default last.
+	Targets []uint32
+}
+
 // validator holds the abstract-interpretation state of one function
 // walk. It is reused for every function of a module (and, through the
 // validators pool, by later modules); side, owners and callees grow in
@@ -121,10 +151,17 @@ type validator struct {
 	owners  []uint32
 	callees []uint32
 	writes  bool // the body holds a memory-writing instruction
-	info    *FuncInfo
-	opPC    int         // pc of the opcode being validated
-	op      wasm.Opcode // opcode being validated (noOpcode before the first)
-	locals  []wasm.ValueType
+	// maxStack is the highest operand stack height so far.
+	maxStack int
+	info     *FuncInfo
+	// scratch receives the walk of a caller that keeps no FuncInfo; its
+	// walk keeps sidetable, owners and callees in the buffers above.
+	scratch FuncInfo
+	// in is the instruction being validated; its Op is noOpcode before
+	// the first.
+	in     Instr
+	fidx   uint32 // function index reported in errors
+	locals []wasm.ValueType
 	// numMemories and numTables cache the imported+defined counts:
 	// memCheck and call_indirect consult them per instruction, and
 	// recounting the import section each time would make validation
@@ -155,10 +192,10 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("validate: func %d at +%d: %s", e.FuncIdx, e.PC, e.Msg)
 }
 
-// Module validates every function body and the module-level index spaces,
-// returning per-function metadata in function-section order.
+// Module validates the module-level index spaces and then every function
+// body, returning per-function metadata in function-section order.
 func Module(m *wasm.Module) ([]FuncInfo, error) {
-	if err := moduleLevel(m); err != nil {
+	if err := ModuleLevel(m); err != nil {
 		return nil, err
 	}
 	infos := make([]FuncInfo, len(m.Funcs))
@@ -166,18 +203,19 @@ func Module(m *wasm.Module) ([]FuncInfo, error) {
 	v := newValidator(m)
 	defer v.release()
 	for i := range m.Funcs {
-		if err := v.function(&m.Funcs[i], &infos[i]); err != nil {
-			var verr *Error
-			if errors.As(err, &verr) {
-				verr.FuncIdx = uint32(nImp + i)
-			}
+		if err := v.function(uint32(nImp+i), &m.Funcs[i], &infos[i]); err != nil {
 			return nil, err
 		}
 	}
 	return infos, nil
 }
 
-func moduleLevel(m *wasm.Module) error {
+// ModuleLevel checks everything outside the function bodies: type
+// indices of imports and functions, export, element and data targets,
+// the memory count and the start function. Function bodies are
+// validated separately (Function, or a Walker driven by a compiler),
+// which assumes these checks passed.
+func ModuleLevel(m *wasm.Module) error {
 	for _, imp := range m.Imports {
 		if imp.Kind == wasm.ImportFunc && int(imp.TypeIdx) >= len(m.Types) {
 			return fmt.Errorf("validate: import %s.%s: type index %d out of range",
@@ -244,16 +282,43 @@ func moduleLevel(m *wasm.Module) error {
 	return nil
 }
 
-// Function validates a single function body and returns its metadata.
-func Function(m *wasm.Module, f *wasm.Func) (*FuncInfo, error) {
+// Function validates the body of function fidx (decl, its entry in the
+// function section) into info.
+func Function(m *wasm.Module, fidx uint32, decl *wasm.Func, info *FuncInfo) error {
 	v := newValidator(m)
 	defer v.release()
-	info := new(FuncInfo)
-	if err := v.function(f, info); err != nil {
-		return nil, err
-	}
-	return info, nil
+	return v.function(fidx, decl, info)
 }
+
+// Walker validates one function body an instruction at a time, for a
+// compiler that translates each instruction as it is validated.
+type Walker struct{ v *validator }
+
+// Walk starts validating the body of function fidx into info. A nil
+// info validates into scratch the walker owns: a recompile of a function
+// whose FuncInfo is already shared must not write it. Release the walker
+// when done with it.
+func Walk(m *wasm.Module, fidx uint32, decl *wasm.Func, info *FuncInfo) Walker {
+	v := newValidator(m)
+	if info == nil {
+		info = &v.scratch
+	}
+	v.begin(fidx, decl, info)
+	return Walker{v}
+}
+
+// Next validates the next instruction and returns it. At the end of a
+// valid body it returns nil, after filling in the FuncInfo. The
+// instruction is checked before it is returned, so a compiler never sees
+// one that does not validate.
+func (w Walker) Next() (*Instr, error) { return w.v.next() }
+
+// Info is the FuncInfo the walk fills in. Its types are set when the
+// walk starts, everything else when Next reports the end of the body.
+func (w Walker) Info() *FuncInfo { return w.v.info }
+
+// Release returns the walker's scratch to the pool.
+func (w Walker) Release() { w.v.release() }
 
 // validators recycles validator scratch across modules and goroutines.
 var validators = sync.Pool{New: func() any { return new(validator) }}
@@ -271,12 +336,24 @@ func newValidator(m *wasm.Module) *validator {
 // the module it last walked.
 func (v *validator) release() {
 	v.m, v.info, v.locals, v.r = nil, nil, nil, wasm.Reader{}
+	v.scratch, v.in = FuncInfo{}, Instr{}
 	clear(v.ctrls[:cap(v.ctrls)]) // popped frames still point at m's types
 	validators.Put(v)
 }
 
-// function validates f into info.
-func (v *validator) function(f *wasm.Func, info *FuncInfo) error {
+// function validates f, function fidx, into info.
+func (v *validator) function(fidx uint32, f *wasm.Func, info *FuncInfo) error {
+	v.begin(fidx, f, info)
+	for {
+		in, err := v.next()
+		if in == nil {
+			return err
+		}
+	}
+}
+
+// begin sets up the walk of f into info.
+func (v *validator) begin(fidx uint32, f *wasm.Func, info *FuncInfo) {
 	ft := v.m.Types[f.TypeIdx]
 	locals := make([]wasm.ValueType, 0, len(ft.Params)+len(f.Locals))
 	locals = append(locals, ft.Params...)
@@ -291,14 +368,47 @@ func (v *validator) function(f *wasm.Func, info *FuncInfo) error {
 	v.r = wasm.Reader{Bytes: f.Body}
 	v.vals, v.ctrls = v.vals[:0], v.ctrls[:0]
 	v.side, v.owners, v.callees = v.side[:0], v.owners[:0], v.callees[:0]
-	v.info, v.op, v.opPC, v.locals, v.writes = info, noOpcode, 0, locals, false
+	v.info, v.fidx, v.locals, v.writes, v.maxStack = info, fidx, locals, false, 0
+	v.in.Op, v.in.PC = noOpcode, 0
 	v.pushCtrl(0, nil, ft.Results)
-	if err := v.run(); err != nil {
-		return err
+}
+
+// next is one step of the walk: decode, check and record one
+// instruction. It returns nil at the end of the body, when info gets
+// exact-size copies of the walk's buffers (except into scratch, which
+// nobody reads them from).
+func (v *validator) next() (*Instr, error) {
+	if v.r.Len() == 0 {
+		if len(v.ctrls) != 0 {
+			return nil, v.fail("function body truncated inside %d open blocks", len(v.ctrls))
+		}
+		if v.info != &v.scratch {
+			v.info.Sidetable, v.info.Owners, v.info.Callees = exact(v.side), exact(v.owners), exact(v.callees)
+		}
+		v.info.NoWrites, v.info.MaxStack = !v.writes, v.maxStack
+		return nil, nil
 	}
-	info.Sidetable, info.Owners, info.Callees = exact(v.side), exact(v.owners), exact(v.callees)
-	info.NoWrites = !v.writes
-	return nil
+	if len(v.ctrls) == 0 {
+		return nil, v.fail("instructions after function end")
+	}
+	in := &v.in
+	pc := v.r.Pos
+	// A one-byte opcode is read here; ReadOpcode takes the 0xFC prefix.
+	op := wasm.Opcode(v.r.Bytes[pc])
+	if op == wasm.Opcode(wasm.PrefixFC) {
+		var err error
+		if op, err = v.r.ReadOpcode(); err != nil {
+			return nil, err
+		}
+	} else {
+		v.r.Pos++
+	}
+	in.Op, in.PC = op, pc
+	if err := v.instr(op, in); err != nil {
+		return nil, err
+	}
+	in.End = v.r.Pos
+	return in, nil
 }
 
 // exact returns a copy of s with no spare capacity (nil when empty).
@@ -310,13 +420,13 @@ func exact[T any](s []T) []T {
 }
 
 func (v *validator) fail(format string, args ...any) error {
-	return &Error{PC: v.opPC, Op: v.op, Msg: fmt.Sprintf(format, args...)}
+	return &Error{FuncIdx: v.fidx, PC: v.in.PC, Op: v.in.Op, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (v *validator) pushVal(t wasm.ValueType) {
 	v.vals = append(v.vals, t)
-	if h := len(v.vals); h > v.info.MaxStack {
-		v.info.MaxStack = h
+	if h := len(v.vals); h > v.maxStack {
+		v.maxStack = h
 	}
 }
 
@@ -373,16 +483,18 @@ func (v *validator) pushCtrl(op wasm.Opcode, in, out []wasm.ValueType) {
 	v.pushVals(in)
 }
 
-func (v *validator) popCtrl() (ctrlFrame, error) {
+// popCtrl pops the innermost frame and returns it, still in place in
+// the control stack's buffer until the next pushCtrl.
+func (v *validator) popCtrl() (*ctrlFrame, error) {
 	if len(v.ctrls) == 0 {
-		return ctrlFrame{}, v.fail("control stack underflow")
+		return nil, v.fail("control stack underflow")
 	}
-	frame := v.ctrls[len(v.ctrls)-1]
+	frame := &v.ctrls[len(v.ctrls)-1]
 	if err := v.popVals(frame.endTypes); err != nil {
-		return ctrlFrame{}, err
+		return nil, err
 	}
 	if len(v.vals) != frame.height {
-		return ctrlFrame{}, v.fail("%d superfluous values at end of block", len(v.vals)-frame.height)
+		return nil, v.fail("%d superfluous values at end of block", len(v.vals)-frame.height)
 	}
 	v.ctrls = v.ctrls[:len(v.ctrls)-1]
 	v.pushVals(frame.endTypes)
@@ -412,7 +524,7 @@ func (v *validator) emitBranch(frame *ctrlFrame) int {
 		pop = 0 // only possible in unreachable code; entry never runs
 	}
 	idx := len(v.side)
-	v.owners = append(v.owners, uint32(v.opPC))
+	v.owners = append(v.owners, uint32(v.in.PC))
 	e := SidetableEntry{ValCount: uint32(arity), PopCount: uint32(pop)}
 	if frame.op == wasm.OpLoop {
 		e.TargetIP = uint32(frame.ipAtStart)
@@ -424,104 +536,126 @@ func (v *validator) emitBranch(frame *ctrlFrame) int {
 	return idx
 }
 
-func (v *validator) blockType() (in, out []wasm.ValueType, err error) {
+// blockType decodes a block type immediate into in.In and in.Out.
+func (v *validator) blockType(in *Instr) error {
 	bt, err := v.r.S33()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if bt >= 0 {
+	in.In, in.Out = nil, nil
+	switch {
+	case bt >= 0:
 		if int(bt) >= len(v.m.Types) {
-			return nil, nil, v.fail("block type index %d out of range", bt)
+			return v.fail("block type index %d out of range", bt)
 		}
 		t := v.m.Types[bt]
-		return t.Params, t.Results, nil
+		in.In, in.Out = t.Params, t.Results
+	case bt != -64: // 0x40: empty
+		if in.Out = wasm.ValueType(byte(bt & 0x7F)).Single(); in.Out == nil {
+			return v.fail("invalid block type %d", bt)
+		}
 	}
-	if bt == -64 { // 0x40: empty
-		return nil, nil, nil
-	}
-	out = wasm.ValueType(byte(bt & 0x7F)).Single()
-	if out == nil {
-		return nil, nil, v.fail("invalid block type %d", bt)
-	}
-	return nil, out, nil
+	return nil
 }
 
-func (v *validator) run() error {
-	for {
-		if v.r.Len() == 0 {
-			if len(v.ctrls) != 0 {
-				return v.fail("function body truncated inside %d open blocks", len(v.ctrls))
+// opShape is an opcode's wasm.Opcode.Imm and, for a simple instruction,
+// its Sig, packed in eight bytes. The walk looks one up per instruction,
+// and the opcode table's 72-byte entries (names, slices) would crowd it
+// out of cache.
+type opShape struct {
+	imm      wasm.ImmKind
+	simple   bool
+	nParams  uint8
+	params   [3]wasm.ValueType // no simple instruction takes more
+	nResults uint8
+	result   wasm.ValueType
+}
+
+// opShapes is indexed by opcode; ReadOpcode returns none above 511.
+var opShapes = func() (t [512]opShape) {
+	for op := range t {
+		s := &t[op]
+		s.imm = wasm.Opcode(op).Imm()
+		params, results, ok := wasm.Opcode(op).Sig()
+		if ok {
+			s.simple, s.nParams, s.nResults = true, uint8(len(params)), uint8(len(results))
+			copy(s.params[:], params)
+			if len(results) == 1 {
+				s.result = results[0]
 			}
-			return nil
 		}
-		if len(v.ctrls) == 0 {
-			return v.fail("instructions after function end")
+	}
+	return t
+}()
+
+// instr checks op and records its decoded immediates in in.
+func (v *validator) instr(op wasm.Opcode, in *Instr) error {
+	// Simple instructions are fully described by their static signature.
+	s := &opShapes[op]
+	if s.simple {
+		if s.imm != wasm.ImmNone {
+			if err := v.memCheck(op, s.imm, in); err != nil {
+				return err
+			}
 		}
-		v.opPC = v.r.Pos
-		op, err := v.r.ReadOpcode()
+		// Operands of the expected types above the frame's base pop in
+		// one step; anything else (underflow, a mismatch, the unknown
+		// type of unreachable code) takes popVals for its checks.
+		params := s.params[:s.nParams]
+		base := len(v.vals) - len(params)
+		if base >= v.ctrls[len(v.ctrls)-1].height && sameTypes(v.vals[base:], params) {
+			v.vals = v.vals[:base]
+		} else if err := v.popVals(params); err != nil {
+			return err
+		}
+		if s.nResults != 0 {
+			v.pushVal(s.result)
+		}
+		return nil
+	}
+
+	// The index immediate most other instructions start with.
+	switch s.imm {
+	case wasm.ImmLabel, wasm.ImmFunc, wasm.ImmCallInd, wasm.ImmLocal, wasm.ImmGlobal:
+		idx, err := v.r.U32()
 		if err != nil {
 			return err
 		}
-		v.op = op
-		if err := v.instr(op); err != nil {
-			return err
+		if s.imm == wasm.ImmLocal && int(idx) >= len(v.locals) {
+			return v.fail("local index %d out of range", idx)
 		}
-	}
-}
-
-func (v *validator) instr(op wasm.Opcode) error {
-	// Simple instructions are fully described by their static signature.
-	if params, results, ok := op.Sig(); ok {
-		if err := v.memCheck(op); err != nil {
-			return err
-		}
-		if err := v.popVals(params); err != nil {
-			return err
-		}
-		v.pushVals(results)
-		return nil
+		in.Idx = idx
 	}
 
 	switch op {
 	case wasm.OpUnreachable:
 		v.setUnreachable()
 	case wasm.OpNop:
-	case wasm.OpBlock:
-		in, out, err := v.blockType()
-		if err != nil {
+	case wasm.OpBlock, wasm.OpLoop:
+		if err := v.blockType(in); err != nil {
 			return err
 		}
-		if err := v.popVals(in); err != nil {
+		if err := v.popVals(in.In); err != nil {
 			return err
 		}
-		v.pushCtrl(wasm.OpBlock, in, out)
-	case wasm.OpLoop:
-		in, out, err := v.blockType()
-		if err != nil {
-			return err
-		}
-		if err := v.popVals(in); err != nil {
-			return err
-		}
-		v.pushCtrl(wasm.OpLoop, in, out)
+		v.pushCtrl(op, in.In, in.Out)
 	case wasm.OpIf:
-		in, out, err := v.blockType()
-		if err != nil {
+		if err := v.blockType(in); err != nil {
 			return err
 		}
 		if _, err := v.popExpect(wasm.I32); err != nil {
 			return err
 		}
-		if err := v.popVals(in); err != nil {
+		if err := v.popVals(in.In); err != nil {
 			return err
 		}
-		v.pushCtrl(wasm.OpIf, in, out)
+		v.pushCtrl(wasm.OpIf, in.In, in.Out)
 		frame := &v.ctrls[len(v.ctrls)-1]
 		// The if's false edge: target patched at else or end.
 		frame.ifFixup = len(v.side)
-		v.owners = append(v.owners, uint32(v.opPC))
+		v.owners = append(v.owners, uint32(v.in.PC))
 		v.side = append(v.side, SidetableEntry{
-			ValCount: uint32(len(in)),
+			ValCount: uint32(len(in.In)),
 		})
 	case wasm.OpElse:
 		if len(v.ctrls) == 0 || v.ctrls[len(v.ctrls)-1].op != wasm.OpIf {
@@ -540,7 +674,7 @@ func (v *validator) instr(op wasm.Opcode) error {
 		nf.hasElse = true
 		// This entry jumps from the end of the then-arm past end.
 		elseEntry := len(v.side)
-		v.owners = append(v.owners, uint32(v.opPC))
+		v.owners = append(v.owners, uint32(v.in.PC))
 		// Branches inside the then-arm that target this label must
 		// still be patched at end; this entry joins their chain.
 		v.side = append(v.side, SidetableEntry{
@@ -578,11 +712,7 @@ func (v *validator) instr(op wasm.Opcode) error {
 		// The end of the outermost frame is the function return; no
 		// sidetable entry needed, the interpreter returns directly.
 	case wasm.OpBr:
-		depth, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		frame, err := v.frameAt(depth)
+		frame, err := v.frameAt(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -598,14 +728,10 @@ func (v *validator) instr(op wasm.Opcode) error {
 		}
 		v.setUnreachable()
 	case wasm.OpBrIf:
-		depth, err := v.r.U32()
-		if err != nil {
-			return err
-		}
 		if _, err := v.popExpect(wasm.I32); err != nil {
 			return err
 		}
-		frame, err := v.frameAt(depth)
+		frame, err := v.frameAt(in.Idx)
 		if err != nil {
 			return err
 		}
@@ -636,6 +762,7 @@ func (v *validator) instr(op wasm.Opcode) error {
 			targets = append(targets, depth)
 		}
 		v.targets = targets
+		in.Targets = targets
 		// All targets must agree on arity; validate against the
 		// default's label types.
 		def, err := v.frameAt(targets[n])
@@ -670,24 +797,18 @@ func (v *validator) instr(op wasm.Opcode) error {
 		}
 		v.setUnreachable()
 	case wasm.OpCall:
-		idx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		ft, err := v.m.FuncTypeAt(idx)
+		ft, err := v.m.FuncTypeAt(in.Idx)
 		if err != nil {
 			return v.fail("%v", err)
 		}
-		v.callees = append(v.callees, idx)
+		in.In, in.Out = ft.Params, ft.Results
+		v.callees = append(v.callees, in.Idx)
 		if err := v.popVals(ft.Params); err != nil {
 			return err
 		}
 		v.pushVals(ft.Results)
 	case wasm.OpCallIndirect:
-		typeIdx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
+		typeIdx := in.Idx
 		tableIdx, err := v.r.U32()
 		if err != nil {
 			return err
@@ -703,6 +824,7 @@ func (v *validator) instr(op wasm.Opcode) error {
 			return err
 		}
 		ft := v.m.Types[typeIdx]
+		in.Imm, in.In, in.Out = uint64(tableIdx), ft.Params, ft.Results
 		if err := v.popVals(ft.Params); err != nil {
 			return err
 		}
@@ -761,58 +883,26 @@ func (v *validator) instr(op wasm.Opcode) error {
 		}
 		v.pushVal(t)
 	case wasm.OpLocalGet:
-		idx, err := v.r.U32()
-		if err != nil {
+		v.pushVal(v.locals[in.Idx])
+	case wasm.OpLocalSet, wasm.OpLocalTee:
+		if _, err := v.popExpect(v.locals[in.Idx]); err != nil {
 			return err
 		}
-		if int(idx) >= len(v.locals) {
-			return v.fail("local index %d out of range", idx)
+		if op == wasm.OpLocalTee {
+			v.pushVal(v.locals[in.Idx])
 		}
-		v.pushVal(v.locals[idx])
-	case wasm.OpLocalSet:
-		idx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		if int(idx) >= len(v.locals) {
-			return v.fail("local index %d out of range", idx)
-		}
-		if _, err := v.popExpect(v.locals[idx]); err != nil {
-			return err
-		}
-	case wasm.OpLocalTee:
-		idx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		if int(idx) >= len(v.locals) {
-			return v.fail("local index %d out of range", idx)
-		}
-		if _, err := v.popExpect(v.locals[idx]); err != nil {
-			return err
-		}
-		v.pushVal(v.locals[idx])
-	case wasm.OpGlobalGet:
-		idx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		t, _, err := v.m.GlobalTypeAt(idx)
+	case wasm.OpGlobalGet, wasm.OpGlobalSet:
+		t, mut, err := v.m.GlobalTypeAt(in.Idx)
 		if err != nil {
 			return v.fail("%v", err)
 		}
-		v.pushVal(t)
-	case wasm.OpGlobalSet:
-		idx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		t, mut, err := v.m.GlobalTypeAt(idx)
-		if err != nil {
-			return v.fail("%v", err)
+		in.Type = t
+		if op == wasm.OpGlobalGet {
+			v.pushVal(t)
+			break
 		}
 		if !mut {
-			return v.fail("global.set of immutable global %d", idx)
+			return v.fail("global.set of immutable global %d", in.Idx)
 		}
 		if _, err := v.popExpect(t); err != nil {
 			return err
@@ -837,12 +927,8 @@ func (v *validator) instr(op wasm.Opcode) error {
 		}
 		v.pushVal(wasm.I32)
 	case wasm.OpRefFunc:
-		idx, err := v.r.U32()
-		if err != nil {
-			return err
-		}
-		if int(idx) >= v.m.NumFuncs() {
-			return v.fail("ref.func: function index %d out of range", idx)
+		if int(in.Idx) >= v.m.NumFuncs() {
+			return v.fail("ref.func: function index %d out of range", in.Idx)
 		}
 		v.pushVal(wasm.FuncRef)
 	default:
@@ -851,19 +937,21 @@ func (v *validator) instr(op wasm.Opcode) error {
 	return nil
 }
 
-// memCheck verifies memory presence and alignment immediates for simple
-// instructions that touch memory, consumes their immediates, and notes
-// the ones that can modify memory in v.writes.
-func (v *validator) memCheck(op wasm.Opcode) error {
-	switch op.Imm() {
+// memCheck decodes the immediates of a simple instruction into in,
+// verifies memory presence and alignment for the ones that touch memory,
+// and notes the ones that can modify memory in v.writes.
+func (v *validator) memCheck(op wasm.Opcode, imm wasm.ImmKind, in *Instr) error {
+	switch imm {
 	case wasm.ImmMem:
 		align, err := v.r.U32()
 		if err != nil {
 			return err
 		}
-		if _, err := v.r.U32(); err != nil { // offset
+		offset, err := v.r.U32()
+		if err != nil {
 			return err
 		}
+		in.Imm = uint64(offset)
 		if v.numMemories == 0 {
 			return v.fail("%v without declared memory", op)
 		}
@@ -895,21 +983,29 @@ func (v *validator) memCheck(op wasm.Opcode) error {
 		}
 		v.writes = true // memory.copy
 	case wasm.ImmI32:
-		if _, err := v.r.S32(); err != nil {
+		k, err := v.r.S32()
+		if err != nil {
 			return err
 		}
+		in.Imm = uint64(uint32(k))
 	case wasm.ImmI64:
-		if _, err := v.r.S64(); err != nil {
+		k, err := v.r.S64()
+		if err != nil {
 			return err
 		}
+		in.Imm = uint64(k)
 	case wasm.ImmF32:
-		if _, err := v.r.F32(); err != nil {
+		bits, err := v.r.F32()
+		if err != nil {
 			return err
 		}
+		in.Imm = uint64(bits)
 	case wasm.ImmF64:
-		if _, err := v.r.F64(); err != nil {
+		bits, err := v.r.F64()
+		if err != nil {
 			return err
 		}
+		in.Imm = bits
 	}
 	return nil
 }

@@ -342,8 +342,9 @@ func TestValidatorReuseKeepsFuncInfosApart(t *testing.T) {
 	infos := expectOK(t, build(4))
 	for i := range infos {
 		fi := &infos[i]
-		alone, err := validate.Function(mod(t, build(i+1)), &mod(t, build(i+1)).Funcs[i])
-		if err != nil {
+		m := mod(t, build(i+1))
+		alone := new(validate.FuncInfo)
+		if err := validate.Function(m, uint32(i), &m.Funcs[i], alone); err != nil {
 			t.Fatal(err)
 		}
 		if len(fi.Sidetable) != i+1 || !reflect.DeepEqual(fi, alone) {

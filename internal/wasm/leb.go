@@ -47,8 +47,19 @@ func (r *Reader) Take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// U32 reads an unsigned LEB128 32-bit integer.
+// U32 reads an unsigned LEB128 32-bit integer. The one-byte form (every
+// index below 128) is read inline.
 func (r *Reader) U32() (uint32, error) {
+	if p := r.Pos; p < len(r.Bytes) {
+		if b := r.Bytes[p]; b < 0x80 {
+			r.Pos = p + 1
+			return uint32(b), nil
+		}
+	}
+	return r.u32()
+}
+
+func (r *Reader) u32() (uint32, error) {
 	var result uint32
 	var shift uint
 	for i := 0; i < 5; i++ {
@@ -105,24 +116,30 @@ func (r *Reader) S33() (int64, error) {
 	return r.sleb(33)
 }
 
+// sleb decodes with the position in a local: going through r.Pos per
+// byte makes every byte wait on the store of the last.
 func (r *Reader) sleb(bits uint) (int64, error) {
 	var result int64
 	var shift uint
-	maxBytes := int(bits+6) / 7
-	for i := 0; i < maxBytes; i++ {
-		b, err := r.Byte()
-		if err != nil {
-			return 0, err
+	buf, pos := r.Bytes, r.Pos
+	for end := pos + int(bits+6)/7; pos < end; {
+		if pos >= len(buf) {
+			r.Pos = pos
+			return 0, ErrUnexpectedEOF
 		}
+		b := buf[pos]
+		pos++
 		result |= int64(b&0x7F) << shift
 		shift += 7
 		if b&0x80 == 0 {
 			if shift < 64 && b&0x40 != 0 {
 				result |= -1 << shift
 			}
+			r.Pos = pos
 			return result, nil
 		}
 	}
+	r.Pos = pos
 	return 0, ErrLEBTooLong
 }
 
