@@ -4,11 +4,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"wizgo/internal/difftest"
 	"wizgo/internal/engine"
 	"wizgo/internal/engines"
+	"wizgo/internal/rt"
 	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 	"wizgo/internal/workloads"
@@ -18,7 +21,7 @@ import (
 // compiles, one per compiler that drives the validator's walk.
 func fusedEngines() []*engine.Engine {
 	var es []*engine.Engine
-	for _, cfg := range []engine.Config{engines.WizardSPC(), engines.WasmNowLike(), engines.TurboFanLike()} {
+	for _, cfg := range []engine.Config{engines.WizardSPC(), engines.WasmNowLike(), engines.WazeroLike(), engines.TurboFanLike()} {
 		if _, ok := cfg.Tier.(engine.FusedTier); !ok {
 			panic(cfg.Name + " is not a fused tier")
 		}
@@ -151,5 +154,89 @@ func TestFusedWalkRejectsHostileBodies(t *testing.T) {
 				t.Errorf("%s under %s: accepted", tc.name, e.Config().Name)
 			}
 		}
+	}
+}
+
+// nopProbe does nothing; attaching it is what forces the recompile.
+type nopProbe struct{}
+
+func (nopProbe) Fire(*rt.Accessor) {}
+
+// cloneInfos deep-copies a module's FuncInfos.
+func cloneInfos(infos []validate.FuncInfo) []validate.FuncInfo {
+	out := slices.Clone(infos)
+	for i := range out {
+		fi := &out[i]
+		fi.Sidetable, fi.Owners, fi.Callees = slices.Clone(fi.Sidetable), slices.Clone(fi.Owners), slices.Clone(fi.Callees)
+		fi.LocalTypes, fi.Results = slices.Clone(fi.LocalTypes), slices.Clone(fi.Results)
+	}
+	return out
+}
+
+// TestProbeRecompileLeavesSharedInfos: attaching and detaching a probe
+// recompiles the function for one instance from the FuncInfo every
+// instance of the CompiledModule shares. On every configuration that
+// recompile must leave the infos as Compile returned them — ReadOnly
+// included, or the pool would start resetting memory the function never
+// writes — while a second instance keeps running from them (under
+// -race, a recompile that writes them is a reported race).
+func TestProbeRecompileLeavesSharedInfos(t *testing.T) {
+	b := wasm.NewBuilder()
+	sum := emitSum(b, "sum", 2, false)
+	bytes := b.Encode()
+	const depth = 30
+	for _, cfg := range engines.FullMatrix() {
+		t.Run(cfg.Name, func(t *testing.T) {
+			cm, err := engine.New(cfg, nil).Compile(bytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cloneInfos(cm.Infos)
+			if !want[sum.Idx].ReadOnly {
+				t.Fatal("sum is not read-only, so a cleared ReadOnly bit would go unseen")
+			}
+			probed, err := cm.Instantiate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := cm.Instantiate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					res, err := other.Call("sum", wasm.ValI64(depth))
+					if err != nil || res[0].I64() != triangle(depth) {
+						t.Errorf("unprobed sum(%d) = %v, %v; want %d", depth, res, err, triangle(depth))
+						return
+					}
+				}
+			}()
+			for i := 0; i < 10; i++ {
+				if err := probed.AttachProbe(sum.Idx, 0, nopProbe{}); err != nil {
+					t.Fatal(err)
+				}
+				if got := mustCallI64(t, probed, "sum", depth); got != triangle(depth) {
+					t.Errorf("probed sum(%d) = %d, want %d", depth, got, triangle(depth))
+				}
+				if err := probed.DetachProbes(sum.Idx, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(done)
+			wg.Wait()
+			if !reflect.DeepEqual(cm.Infos, want) {
+				t.Errorf("probe recompiles changed the shared infos:\nafter  %+v\nbefore %+v", cm.Infos, want)
+			}
+		})
 	}
 }

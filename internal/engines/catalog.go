@@ -34,17 +34,31 @@ type IRTier struct{ TierName string }
 // Name implements engine.Tier.
 func (t IRTier) Name() string { return t.TierName }
 
-// Compile implements engine.Tier.
+// Compile implements engine.Tier. info is shared, so the code
+// generation walk validates into scratch.
 func (t IRTier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo, probes *rt.ProbeSet) (engine.Code, error) {
 	// Pass 1: IR construction (pre-decoded operator list).
-	ir, err := rewriter.Translate(m, fidx, decl, info)
+	if _, err := rewriter.Translate(m, fidx, decl, info); err != nil {
+		return nil, err
+	}
+	// Pass 2: code generation over the decoded function.
+	return copypatch.Compile(m, fidx, decl, nil)
+}
+
+// ValidateCompile implements engine.FusedTier. The IR pass reads the
+// sidetable, so here code generation runs first and validates into info;
+// each body is validated once, as on every other tier.
+func (t IRTier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
+	info *validate.FuncInfo) (engine.Code, error) {
+	code, err := copypatch.Compile(m, fidx, decl, info)
 	if err != nil {
 		return nil, err
 	}
-	_ = ir.Instrs // the operator list drives sizing below
-	// Pass 2: code generation over the decoded function.
-	return copypatch.Compile(m, fidx, decl, info)
+	if _, err := rewriter.Translate(m, fidx, decl, info); err != nil {
+		return nil, err
+	}
+	return code, nil
 }
 
 // FeatureRow is one line of Figure 3's design-comparison table.

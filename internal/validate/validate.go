@@ -558,70 +558,40 @@ func (v *validator) blockType(in *Instr) error {
 	return nil
 }
 
-// opShape is an opcode's wasm.Opcode.Imm and, for a simple instruction,
-// its Sig, packed in eight bytes. The walk looks one up per instruction,
-// and the opcode table's 72-byte entries (names, slices) would crowd it
-// out of cache.
-type opShape struct {
-	imm      wasm.ImmKind
-	simple   bool
-	nParams  uint8
-	params   [3]wasm.ValueType // no simple instruction takes more
-	nResults uint8
-	result   wasm.ValueType
-}
-
-// opShapes is indexed by opcode; ReadOpcode returns none above 511.
-var opShapes = func() (t [512]opShape) {
-	for op := range t {
-		s := &t[op]
-		s.imm = wasm.Opcode(op).Imm()
-		params, results, ok := wasm.Opcode(op).Sig()
-		if ok {
-			s.simple, s.nParams, s.nResults = true, uint8(len(params)), uint8(len(results))
-			copy(s.params[:], params)
-			if len(results) == 1 {
-				s.result = results[0]
-			}
-		}
-	}
-	return t
-}()
-
 // instr checks op and records its decoded immediates in in.
 func (v *validator) instr(op wasm.Opcode, in *Instr) error {
 	// Simple instructions are fully described by their static signature.
-	s := &opShapes[op]
-	if s.simple {
-		if s.imm != wasm.ImmNone {
-			if err := v.memCheck(op, s.imm, in); err != nil {
+	s := op.Shape()
+	if s.Simple {
+		if s.Imm != wasm.ImmNone {
+			if err := v.memCheck(op, s.Imm, in); err != nil {
 				return err
 			}
 		}
 		// Operands of the expected types above the frame's base pop in
 		// one step; anything else (underflow, a mismatch, the unknown
 		// type of unreachable code) takes popVals for its checks.
-		params := s.params[:s.nParams]
+		params := s.Params[:s.NParams]
 		base := len(v.vals) - len(params)
 		if base >= v.ctrls[len(v.ctrls)-1].height && sameTypes(v.vals[base:], params) {
 			v.vals = v.vals[:base]
 		} else if err := v.popVals(params); err != nil {
 			return err
 		}
-		if s.nResults != 0 {
-			v.pushVal(s.result)
+		if s.NResults != 0 {
+			v.pushVal(s.Result)
 		}
 		return nil
 	}
 
 	// The index immediate most other instructions start with.
-	switch s.imm {
+	switch s.Imm {
 	case wasm.ImmLabel, wasm.ImmFunc, wasm.ImmCallInd, wasm.ImmLocal, wasm.ImmGlobal:
 		idx, err := v.r.U32()
 		if err != nil {
 			return err
 		}
-		if s.imm == wasm.ImmLocal && int(idx) >= len(v.locals) {
+		if s.Imm == wasm.ImmLocal && int(idx) >= len(v.locals) {
 			return v.fail("local index %d out of range", idx)
 		}
 		in.Idx = idx

@@ -513,6 +513,43 @@ func (op Opcode) Sig() (params, results []ValueType, ok bool) {
 	return info.params, info.results, info.params != nil || info.results != nil
 }
 
+// Shape is an opcode's Imm and, for a simple instruction, its Sig,
+// packed in eight bytes. A validating walk looks one up per instruction,
+// and opTable's 72-byte entries (names, slices) would crowd it out of
+// cache.
+type Shape struct {
+	Imm      ImmKind
+	Simple   bool
+	NParams  uint8
+	Params   [3]ValueType // no simple instruction takes more
+	NResults uint8
+	Result   ValueType // the single result, when NResults is 1
+}
+
+// shapes packs opTable entry for entry.
+var shapes = func() (t [numOpcodes + 1]Shape) {
+	for i := range opTable {
+		info, s := &opTable[i], &t[i]
+		s.Imm = info.imm
+		if s.Simple = info.params != nil || info.results != nil; s.Simple {
+			s.NParams, s.NResults = uint8(copy(s.Params[:], info.params)), uint8(len(info.results))
+			if len(info.results) == 1 {
+				s.Result = info.results[0]
+			}
+		}
+	}
+	return t
+}()
+
+// Shape returns op's packed shape; like info, every value outside the
+// table shares the spare last slot.
+func (op Opcode) Shape() *Shape {
+	if int(op) > numOpcodes {
+		op = Opcode(numOpcodes)
+	}
+	return &shapes[op]
+}
+
 func (op Opcode) String() string {
 	if name := op.info().name; name != "" {
 		return name

@@ -78,6 +78,15 @@ func TestOpcodeTableEquivalence(t *testing.T) {
 		if ok {
 			simple++
 		}
+		s := op.Shape()
+		var sr []ValueType
+		if s.NResults == 1 {
+			sr = []ValueType{s.Result}
+		}
+		if s.Imm != info.imm || s.Simple != wok || int(s.NParams) != len(wp) || int(s.NResults) != len(wr) ||
+			!reflect.DeepEqual(s.Params[:s.NParams], append([]ValueType{}, wp...)) || (len(wr) <= 1 && !reflect.DeepEqual(sr, wr)) {
+			t.Fatalf("Shape(%#x) = %+v, want imm %v sig %v %v %v", v, *s, info.imm, wp, wr, wok)
+		}
 		if op.IsPure() != refIsPure(ref, op) {
 			t.Fatalf("IsPure(%#x) = %v, want %v", v, op.IsPure(), refIsPure(ref, op))
 		}
