@@ -15,6 +15,14 @@
 //     through those gates. A deliberate exception is granted by a
 //     "//vet:allow timenow" comment on the offending line.
 //
+//   - onedecoder: no bytecode decoding (wasm.NewReader, ReadOpcode,
+//     SkipImm) in the packages that translate function bodies
+//     (internal/spc, internal/copypatch, internal/opt,
+//     internal/rewriter). They read instructions from the validator's
+//     walk, so a body is decoded once and branches follow the
+//     sidetable; a second decoder is a second copy of those rules. A
+//     deliberate exception is granted by "//vet:allow onedecoder".
+//
 // The tool runs in two modes. Standalone — `wizgo-vet ./...` — walks
 // the tree, parses every non-test Go file and reports findings, exiting
 // 2 when any are found; this is what CI runs. It also speaks enough of
@@ -47,6 +55,15 @@ var hotPackages = []string{
 	"internal/mach",
 	"internal/copypatch",
 	"internal/rt",
+}
+
+// decoderPackages are import-path suffixes of the packages that
+// translate function bodies from the validator's walk.
+var decoderPackages = []string{
+	"internal/spc",
+	"internal/copypatch",
+	"internal/opt",
+	"internal/rewriter",
 }
 
 // rtImportSuffix identifies the runtime package, both to resolve the
@@ -203,23 +220,27 @@ func report(diags []diagnostic, asJSON bool) int {
 	return 2
 }
 
-// checkFile runs both analyzers over one parsed file. pkgPath is the
+// hasSuffix reports whether pkgPath ends in one of suffixes.
+func hasSuffix(pkgPath string, suffixes []string) bool {
+	for _, p := range suffixes {
+		if strings.HasSuffix(pkgPath, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkFile runs the analyzers over one parsed file. pkgPath is the
 // file's import path (unit mode) or directory path (standalone mode);
 // only its suffix is consulted.
 func checkFile(fset *token.FileSet, file *ast.File, pkgPath string) []diagnostic {
 	var diags []diagnostic
-	hot := false
-	for _, p := range hotPackages {
-		if strings.HasSuffix(pkgPath, p) {
-			hot = true
-			break
-		}
-	}
+	hot, decoding := hasSuffix(pkgPath, hotPackages), hasSuffix(pkgPath, decoderPackages)
 	inRT := strings.HasSuffix(pkgPath, rtImportSuffix)
 
-	// Resolve the local names under which this file imports the runtime
-	// and time packages; aliased imports must not dodge the rules.
-	rtName, timeName := "", ""
+	// Resolve the local names under which this file imports the runtime,
+	// time and wasm packages; aliased imports must not dodge the rules.
+	rtName, timeName, wasmName := "", "", ""
 	for _, imp := range file.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
 		name := ""
@@ -237,17 +258,34 @@ func checkFile(fset *token.FileSet, file *ast.File, pkgPath string) []diagnostic
 				name = "time"
 			}
 			timeName = name
+		case strings.HasSuffix(path, "internal/wasm"):
+			if name == "" {
+				name = "wasm"
+			}
+			wasmName = name
 		}
 	}
 
-	// allowed maps line numbers carrying a "//vet:allow timenow"
-	// comment to the granted exception.
-	allowed := map[int]bool{}
+	// allowed holds the exceptions granted by "//vet:allow <analyzer>"
+	// comments; one covers its own line and the next.
+	type exception struct {
+		analyzer string
+		line     int
+	}
+	allowed := map[exception]bool{}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if strings.Contains(c.Text, "vet:allow timenow") {
-				allowed[fset.Position(c.Pos()).Line] = true
+			for _, a := range []string{"timenow", "onedecoder"} {
+				if strings.Contains(c.Text, "vet:allow "+a) {
+					allowed[exception{a, fset.Position(c.Pos()).Line}] = true
+				}
 			}
+		}
+	}
+	note := func(n ast.Node, analyzer, message string) {
+		line := fset.Position(n.Pos()).Line
+		if !allowed[exception{analyzer, line}] && !allowed[exception{analyzer, line - 1}] {
+			diags = append(diags, diagnostic{pos: fset.Position(n.Pos()), analyzer: analyzer, message: message})
 		}
 	}
 
@@ -267,20 +305,20 @@ func checkFile(fset *token.FileSet, file *ast.File, pkgPath string) []diagnostic
 				}
 			}
 		case *ast.CallExpr:
-			if !hot || timeName == "" {
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == timeName && sel.Sel.Name == "Now" {
-					line := fset.Position(n.Pos()).Line
-					if !allowed[line] && !allowed[line-1] {
-						diags = append(diags, diagnostic{
-							pos:      fset.Position(n.Pos()),
-							analyzer: "timenow",
-							message:  "ungated time.Now() in hot-path package " + pkgPath + "; gate it behind the telemetry Enabled() check or annotate //vet:allow timenow",
-						})
-					}
-				}
+			pkg := ""
+			if id, ok := sel.X.(*ast.Ident); ok {
+				pkg = id.Name
+			}
+			if hot && timeName != "" && pkg == timeName && sel.Sel.Name == "Now" {
+				note(n, "timenow", "ungated time.Now() in hot-path package "+pkgPath+"; gate it behind the telemetry Enabled() check or annotate //vet:allow timenow")
+			}
+			if decoding && (wasmName != "" && pkg == wasmName && sel.Sel.Name == "NewReader" ||
+				sel.Sel.Name == "ReadOpcode" || sel.Sel.Name == "SkipImm") {
+				note(n, "onedecoder", sel.Sel.Name+" in "+pkgPath+": translate from the validator's walk (validate.Walk), or annotate //vet:allow onedecoder")
 			}
 		}
 		return true

@@ -93,7 +93,34 @@ func f() time.Time { return time.Now() }
 	}
 }
 
-// TestRepoClean runs both analyzers over the whole repository: the
+// TestSecondDecoderFlagged: a translating package decodes nothing
+// itself, under any import name, unless the line is marked; the
+// validator, which owns the walk, may.
+func TestSecondDecoderFlagged(t *testing.T) {
+	src := `package rewriter
+import w "wizgo/internal/wasm"
+func f(b []byte) {
+	r := w.NewReader(b)
+	op, _ := r.ReadOpcode()
+	r.SkipImm(op)
+	_, _ = r.ReadOpcode() //vet:allow onedecoder
+}
+`
+	diags := check(t, "wizgo/internal/rewriter", src)
+	if len(diags) != 3 {
+		t.Fatalf("want three onedecoder diagnostics, got %v", diags)
+	}
+	for _, d := range diags {
+		if d.analyzer != "onedecoder" {
+			t.Errorf("unexpected %s diagnostic: %s", d.analyzer, d.message)
+		}
+	}
+	if diags := check(t, "wizgo/internal/validate", src); len(diags) != 0 {
+		t.Fatalf("the validator flagged: %v", diags)
+	}
+}
+
+// TestRepoClean runs the analyzers over the whole repository: the
 // invariants the tool enforces must actually hold.
 func TestRepoClean(t *testing.T) {
 	root, err := filepath.Abs("../..")

@@ -14,7 +14,7 @@
 // mach instructions SPC does. The repository benchmark records
 // copypatch.compile_ms 22.6 against spc.compile_ms 19.8 on
 // compile-wide, and exec_ms.copypatch 2.21 against exec_ms.int 1.43 on
-// kernels — last on both axes (ROADMAP open item 3).
+// kernels — last on both axes (ROADMAP open item 4).
 package copypatch
 
 import (
@@ -43,7 +43,7 @@ func (t Tier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	return Compile(m, fidx, decl, nil)
 }
 
-// ValidateCompile implements engine.FusedTier.
+// ValidateCompile implements engine.Tier.
 func (t Tier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo) (engine.Code, error) {
 	return Compile(m, fidx, decl, info)

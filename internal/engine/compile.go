@@ -160,33 +160,26 @@ func (e *Engine) compile(bytes []byte) (*CompiledModule, error) {
 
 // compileAll validates every local function into infos and, in eager
 // JIT modes, compiles it, returning the code (nil when nothing is
-// compiled eagerly). Each function is one unit of work: a FusedTier
-// validates and compiles it in one walk, any other tier compiles it
-// after the validator's walk. Functions are independent units (the
-// property Copy-and-Patch and Druid exploit), so the work fans out over
-// a bounded worker pool sized by Config.CompileWorkers. Compilation sees
-// no probe sets — those are per-instance — which is what makes the
-// fan-out safe.
+// compiled eagerly). Each function is one unit of work and one walk:
+// Tier.ValidateCompile when eager, validate.Function otherwise.
+// Functions are independent units (the property Copy-and-Patch and Druid
+// exploit), so the work fans out over a bounded worker pool sized by
+// Config.CompileWorkers. Compilation sees no probe sets — those are
+// per-instance — which is what makes the fan-out safe.
 func (e *Engine) compileAll(m *wasm.Module, infos []validate.FuncInfo) ([]Code, error) {
 	n := len(m.Funcs)
 	imported := m.NumImportedFuncs()
 	eager := e.cfg.Mode != ModeInterp && !e.cfg.LazyCompile
-	fused, _ := e.cfg.Tier.(FusedTier)
 	codes := make([]Code, n)
 
 	compileOne := func(i int) (Code, error) {
 		fidx, decl, info := uint32(imported+i), &m.Funcs[i], &infos[i]
-		if !eager || fused == nil {
-			if err := validate.Function(m, fidx, decl, info); err != nil || !eager {
-				return nil, err
-			}
+		if !eager {
+			return nil, validate.Function(m, fidx, decl, info)
 		}
 		e.compileCalls.Add(1)
 		mCompileCalls.Inc()
-		if fused != nil {
-			return fused.ValidateCompile(m, fidx, decl, info)
-		}
-		return e.cfg.Tier.Compile(m, fidx, decl, info, nil)
+		return e.cfg.Tier.ValidateCompile(m, fidx, decl, info)
 	}
 
 	workers := e.cfg.CompileWorkers

@@ -7,8 +7,8 @@
 //
 // Module setup is a two-phase pipeline. Engine.Compile performs the
 // per-module work once — decode, the module-level checks, then one
-// worker-pool fan-out in which each function is validated and compiled
-// (in a single walk for a FusedTier), then the writes-memory analysis —
+// worker-pool fan-out in which each function is validated and, in eager
+// JIT modes, compiled in the same walk, then the writes-memory analysis —
 // yielding a goroutine-safe CompiledModule. CompiledModule.Instantiate
 // then only links imports, allocates memories/tables/globals and a value
 // stack, and runs the start function, so one compiled artifact serves many
@@ -64,23 +64,21 @@ func (m Mode) String() string {
 	return "mode?"
 }
 
-// Tier is a compiler that can translate functions for this engine.
-// Adapters in internal/engines wrap the single-pass compiler, the
-// optimizing compiler and the rewriting translator as Tiers. Compile
-// receives the function's validated FuncInfo, which instances share, and
-// must not write it.
+// Tier is a compiler that can translate functions for this engine. The
+// single-pass compiler, the rewriting translator and the wazero analog
+// are adapted as Tiers in internal/engines; copypatch.Tier and opt.Tier
+// implement it in their own packages. Every Tier compiles by driving the
+// validator's walk (validate.Walk), so it validates as it compiles.
 type Tier interface {
 	Name() string
+	// Compile compiles a function whose body is already validated:
+	// recompiles for probes and lazy first calls. info is the function's
+	// FuncInfo, which instances share, so the walk must not write it.
 	Compile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo,
 		probes *rt.ProbeSet) (Code, error)
-}
-
-// FusedTier is a Tier whose compiler validates as it compiles.
-// Engine.Compile hands ValidateCompile each function's FuncInfo still
-// empty, and it validates the body into info in the same walk that
-// translates it; any other tier compiles after a separate validator walk.
-type FusedTier interface {
-	Tier
+	// ValidateCompile is Engine.Compile's eager path: it receives the
+	// function's FuncInfo still empty and validates the body into it in
+	// the same walk that compiles it.
 	ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo) (Code, error)
 }
 
@@ -148,7 +146,7 @@ type Timings struct {
 	// Validate is the module-level checks only (validate.ModuleLevel).
 	Validate time.Duration
 	// Compile is the per-function fan-out: each body's validation and,
-	// in eager JIT modes, its compilation (one walk for a FusedTier).
+	// in eager JIT modes, its compilation, one walk per body.
 	Compile time.Duration
 	// Analyze is the writes-memory fixpoint (internal/analysis) over the
 	// validator's per-function notes, after the fan-out. Zero when the

@@ -17,14 +17,12 @@ import (
 	"wizgo/internal/workloads"
 )
 
-// fusedEngines are the configurations whose tier validates as it
-// compiles, one per compiler that drives the validator's walk.
+// fusedEngines are eager configurations, one per compiler that drives
+// the validator's walk: every Tier validates as it compiles.
 func fusedEngines() []*engine.Engine {
 	var es []*engine.Engine
-	for _, cfg := range []engine.Config{engines.WizardSPC(), engines.WasmNowLike(), engines.WazeroLike(), engines.TurboFanLike()} {
-		if _, ok := cfg.Tier.(engine.FusedTier); !ok {
-			panic(cfg.Name + " is not a fused tier")
-		}
+	for _, cfg := range []engine.Config{engines.WizardSPC(), engines.WasmNowLike(), engines.WazeroLike(),
+		engines.TurboFanLike(), engines.Wasm3Like()} {
 		cfg.CompileWorkers = 1
 		es = append(es, engine.New(cfg, nil))
 	}

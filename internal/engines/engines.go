@@ -30,7 +30,7 @@ func (t SPCTier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	return spc.Compile(m, fidx, decl, nil, probes, t.Cfg)
 }
 
-// ValidateCompile implements engine.FusedTier.
+// ValidateCompile implements engine.Tier.
 func (t SPCTier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo) (engine.Code, error) {
 	return spc.Compile(m, fidx, decl, info, nil, t.Cfg)
@@ -79,11 +79,12 @@ func FullMatrix() []engine.Config {
 // tiers plus "wizeng-tiered". Shared by cmd/wizgo, the serving example,
 // and tests.
 func ByName(name string) (engine.Config, bool) {
-	cfgs := SQSpaceTiers()
-	cfgs = append(cfgs, WizardTiered(100))
-	for _, c := range cfgs {
-		if c.Name == name {
-			return c, true
+	if name == "wizeng-tiered" {
+		return WizardTiered(100), true
+	}
+	for _, p := range presets {
+		if p.cfg.Name == name {
+			return p.cfg, true
 		}
 	}
 	return engine.Config{}, false

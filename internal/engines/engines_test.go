@@ -122,3 +122,17 @@ func TestFullMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestTierClassOutsideSQSpace: a configuration outside the 18 SQ-space
+// tiers has no class, rather than passing for an optimizing tier.
+func TestTierClassOutsideSQSpace(t *testing.T) {
+	names := []string{"wizeng-tiered", "nosuch"}
+	for _, cfg := range append(engines.Figure4Variants(), engines.Figure5Variants()...) {
+		names = append(names, cfg.Name)
+	}
+	for _, name := range names {
+		if class := engines.TierClass(name); class != "" {
+			t.Errorf("TierClass(%q) = %q, want none", name, class)
+		}
+	}
+}

@@ -77,7 +77,7 @@ func (t Tier) Compile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	return Compile(m, fidx, decl, nil, probes, t.Cfg)
 }
 
-// ValidateCompile implements engine.FusedTier.
+// ValidateCompile implements engine.Tier.
 func (t Tier) ValidateCompile(m *wasm.Module, fidx uint32, decl *wasm.Func,
 	info *validate.FuncInfo) (engine.Code, error) {
 	return Compile(m, fidx, decl, info, nil, t.Cfg)

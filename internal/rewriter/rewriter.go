@@ -8,10 +8,18 @@
 // (no LEB decoding, no sidetable indirection, no tag stores), which is
 // exactly where the paper's Figure 10 places rewriting interpreters:
 // faster than in-place interpretation, far below compiled code.
+//
+// The translator is driven by the validator's walk (validate.Walk), as
+// the compilers are: it reads each instruction's opcode and immediates
+// from the walk, and each branch's transfer counts and target from the
+// sidetable entry the validator recorded for it, so the rewritten code
+// and the in-place interpreter take branches by one rule.
 package rewriter
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
@@ -25,7 +33,7 @@ const (
 	opBrIfZ              // branch if top == 0 (compiled from `if`)
 	opBrTableX
 	// opFuel is the loop-entry fuel checkpoint, emitted before the
-	// header label so back-edges never re-execute it.
+	// loop header so back-edges never re-execute it.
 	opFuel
 )
 
@@ -56,116 +64,55 @@ type Code struct {
 // bytes per pre-decoded instruction.
 func (c *Code) Bytes() int { return c.codeBytes }
 
-// Tier translates functions for an engine preset.
-type Tier struct{ TierName string }
-
-// Name implements engine.Tier.
-func (t Tier) Name() string {
-	if t.TierName != "" {
-		return t.TierName
-	}
-	return "rewriter"
-}
-
-type label struct {
-	bound   int
-	fixups  []int
-	tfixups [][2]int
-}
-
+// xlat is the translation state of one function body.
 type xlat struct {
-	m      *wasm.Module
 	out    []Instr
 	tables [][]int32
-	labels []label
-	ctrls  []xctrl
-	h      int
+	// marks lists, in body order, the instruction index each block
+	// boundary (loop header, else arm, end) translates to; a branch's
+	// sidetable target is one of them.
+	marks []mark
+	// depth counts the open control frames, the function's included;
+	// dead is the depth at which the code went unreachable, 0 while it
+	// is reachable.
+	depth, dead int
 }
 
-type xctrl struct {
-	op         wasm.Opcode
-	label      int // end label (header label for loops)
-	elseLabel  int
-	height     int
-	nIn, nOut  int
-	hasElse    bool
-	headerPos  int
-	unreach    bool
-	wasUnreach bool
-}
+type mark struct{ pc, idx int32 }
 
-func (x *xlat) newLabel() int {
-	x.labels = append(x.labels, label{bound: -1})
-	return len(x.labels) - 1
-}
-
-func (x *xlat) bind(l int) {
-	lb := &x.labels[l]
-	lb.bound = len(x.out)
-	for _, fix := range lb.fixups {
-		x.out[fix].Target = int32(lb.bound)
-	}
-	for _, tf := range lb.tfixups {
-		x.tables[tf[0]][tf[1]] = int32(lb.bound)
-	}
-}
-
-func (x *xlat) emit(in Instr) int {
-	x.out = append(x.out, in)
-	return len(x.out) - 1
-}
-
-func (x *xlat) emitBranch(in Instr, l int) int {
-	if x.labels[l].bound >= 0 {
-		in.Target = int32(x.labels[l].bound)
-		return x.emit(in)
-	}
-	idx := x.emit(in)
-	x.labels[l].fixups = append(x.labels[l].fixups, idx)
-	return idx
-}
-
-func (x *xlat) frameAt(d uint32) *xctrl { return &x.ctrls[len(x.ctrls)-1-int(d)] }
-
-func (x *xlat) branchArgs(fr *xctrl) (val, pop int32) {
-	arity := fr.nOut
-	if fr.op == wasm.OpLoop {
-		arity = fr.nIn
-	}
-	p := x.h - arity - fr.height
-	if p < 0 {
-		p = 0
-	}
-	return int32(arity), int32(p)
-}
-
-func (x *xlat) target(fr *xctrl) int { return fr.label }
-
-// Translate pre-decodes one function body.
+// Translate pre-decodes one function body, validating it into info in
+// the same walk (nil info validates into scratch, for a function whose
+// FuncInfo is already shared). Opcodes and immediates come from the
+// walk, and every branch takes its value count, pop count and target
+// from the sidetable entry the validator recorded for it, the same
+// entry the in-place interpreter executes.
 func Translate(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.FuncInfo) (*Code, error) {
-	x := &xlat{m: m}
-	ft := m.Types[decl.TypeIdx]
-	funcLabel := x.newLabel()
-	x.ctrls = append(x.ctrls, xctrl{label: funcLabel, elseLabel: -1, nOut: len(ft.Results)})
-
-	r := wasm.NewReader(decl.Body)
-	for r.Len() > 0 {
-		op, err := r.ReadOpcode()
-		if err != nil {
-			return nil, err
+	w := validate.Walk(m, fidx, decl, info)
+	defer w.Release()
+	x := &xlat{depth: 1}
+	for {
+		in, err := w.Next()
+		if in == nil {
+			if err != nil {
+				return nil, err
+			}
+			break
 		}
-		if len(x.ctrls) == 0 {
-			return nil, fmt.Errorf("rewriter: instructions after end")
-		}
-		if err := x.instr(op, r); err != nil {
-			return nil, err
+		x.instr(in)
+	}
+	side := w.Sidetable()
+	for i := range x.out {
+		in := &x.out[i]
+		if in.Op >= opBr && in.Op <= opBrIfZ {
+			e := &side[in.Target]
+			target, ok := x.at(e.TargetIP)
+			if !ok {
+				return nil, fmt.Errorf("rewriter: branch target +%d is not a block boundary", e.TargetIP)
+			}
+			in.A, in.B, in.Target = int32(e.ValCount), int32(e.PopCount), target
 		}
 	}
-	for _, lb := range x.labels {
-		if lb.bound < 0 && (len(lb.fixups) > 0 || len(lb.tfixups) > 0) {
-			return nil, fmt.Errorf("rewriter: unbound label")
-		}
-	}
+	info = w.Info()
 	return &Code{
 		Instrs:     x.out,
 		Tables:     x.tables,
@@ -177,328 +124,119 @@ func Translate(m *wasm.Module, fidx uint32, decl *wasm.Func, info *validate.Func
 	}, nil
 }
 
-func (x *xlat) blockArity(r *wasm.Reader) (nIn, nOut int, err error) {
-	bt, err := r.S33()
-	if err != nil {
-		return 0, 0, err
+func (x *xlat) emit(in Instr) { x.out = append(x.out, in) }
+
+// branch emits a branch through sidetable entry e, which Translate
+// resolves once the walk is done.
+func (x *xlat) branch(op wasm.Opcode, e uint32) { x.emit(Instr{Op: op, Target: int32(e)}) }
+
+// mark notes that a branch to body offset pc lands on the next
+// instruction emitted.
+func (x *xlat) mark(pc int) { x.marks = append(x.marks, mark{int32(pc), int32(len(x.out))}) }
+
+// at returns the instruction index body offset pc translates to.
+func (x *xlat) at(pc uint32) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(x.marks, int32(pc), func(m mark, pc int32) int { return cmp.Compare(m.pc, pc) })
+	if !ok {
+		return 0, false
 	}
-	if bt >= 0 {
-		t := x.m.Types[bt]
-		return len(t.Params), len(t.Results), nil
+	return x.marks[i].idx, true
+}
+
+// end closes a reachable frame; the function's end returns.
+func (x *xlat) end(in *validate.Instr) {
+	x.mark(in.End)
+	if x.depth--; x.depth == 0 {
+		x.emit(Instr{Op: opReturn})
 	}
-	if bt == -64 {
-		return 0, 0, nil
-	}
-	return 0, 1, nil
 }
 
 // instr translates one instruction.
-func (x *xlat) instr(op wasm.Opcode, r *wasm.Reader) error {
-	// Skip unreachable code: it cannot execute, and its stack heights
-	// are polymorphic. Control nesting is still tracked.
-	if x.ctrls[len(x.ctrls)-1].unreach {
-		switch op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			if _, _, err := x.blockArity(r); err != nil {
-				return err
+func (x *xlat) instr(in *validate.Instr) {
+	op := in.Op
+	if x.dead != 0 {
+		// Skip unreachable code: it cannot execute. Nesting is still
+		// tracked, until the frame the code went dead in reaches its
+		// else arm or its end, which the sidetable's edges make
+		// reachable again.
+		switch {
+		case op == wasm.OpBlock || op == wasm.OpLoop || op == wasm.OpIf:
+			x.depth++
+		case x.depth != x.dead:
+			if op == wasm.OpEnd {
+				x.depth--
 			}
-			x.ctrls = append(x.ctrls, xctrl{op: op, label: -1, elseLabel: -1,
-				unreach: true, wasUnreach: true, height: x.h})
-		case wasm.OpElse:
-			fr := &x.ctrls[len(x.ctrls)-1]
-			fr.hasElse = true
-			if !fr.wasUnreach {
-				// Live if whose then-arm ended unreachable.
-				x.bind(fr.elseLabel)
-				x.h = fr.height + fr.nIn
-				fr.unreach = false
-			}
-		case wasm.OpEnd:
-			fr := x.ctrls[len(x.ctrls)-1]
-			x.ctrls = x.ctrls[:len(x.ctrls)-1]
-			if fr.wasUnreach {
-				return nil // parent stays unreachable
-			}
-			if fr.op == wasm.OpIf && !fr.hasElse {
-				x.bind(fr.elseLabel)
-			}
-			if fr.op != wasm.OpLoop && fr.label >= 0 {
-				x.bind(fr.label)
-			}
-			if len(x.ctrls) == 0 {
-				x.emit(Instr{Op: opReturn})
-				return nil
-			}
-			x.h = fr.height + fr.nOut
-		default:
-			return r.SkipImm(op)
+		case op == wasm.OpElse:
+			x.dead = 0
+			x.mark(in.End)
+		case op == wasm.OpEnd:
+			x.dead = 0
+			x.end(in)
 		}
-		return nil
+		return
 	}
 
 	switch op {
 	case wasm.OpBlock:
-		nIn, nOut, err := x.blockArity(r)
-		if err != nil {
-			return err
-		}
-		x.ctrls = append(x.ctrls, xctrl{
-			op: wasm.OpBlock, label: x.newLabel(), elseLabel: -1,
-			height: x.h - nIn, nIn: nIn, nOut: nOut,
-		})
+		x.depth++
 	case wasm.OpLoop:
-		nIn, nOut, err := x.blockArity(r)
-		if err != nil {
-			return err
-		}
-		// Loop-entry fuel checkpoint before the header label: executes
-		// on fall-in only; back-edges charge at their branch sites.
+		x.depth++
+		// Loop-entry fuel checkpoint before the header: executes on
+		// fall-in only; back-edges charge at their branch sites.
 		x.emit(Instr{Op: opFuel})
-		l := x.newLabel()
-		x.bind(l)
-		x.ctrls = append(x.ctrls, xctrl{
-			op: wasm.OpLoop, label: l, elseLabel: -1,
-			height: x.h - nIn, nIn: nIn, nOut: nOut,
-		})
+		x.mark(in.End)
 	case wasm.OpIf:
-		nIn, nOut, err := x.blockArity(r)
-		if err != nil {
-			return err
-		}
-		x.h--
-		fr := xctrl{
-			op: wasm.OpIf, label: x.newLabel(), elseLabel: x.newLabel(),
-			height: x.h - nIn, nIn: nIn, nOut: nOut,
-		}
-		x.emitBranch(Instr{Op: opBrIfZ, A: int32(nIn)}, fr.elseLabel)
-		x.ctrls = append(x.ctrls, fr)
+		x.depth++
+		x.branch(opBrIfZ, in.Side)
 	case wasm.OpElse:
-		fr := &x.ctrls[len(x.ctrls)-1]
-		fr.hasElse = true
-		x.emitBranch(Instr{Op: opBr, A: int32(fr.nOut)}, fr.label)
-		x.bind(fr.elseLabel)
-		x.h = fr.height + fr.nIn
-		fr.unreach = false
+		x.branch(opBr, in.Side)
+		x.mark(in.End)
 	case wasm.OpEnd:
-		fr := x.ctrls[len(x.ctrls)-1]
-		x.ctrls = x.ctrls[:len(x.ctrls)-1]
-		if fr.op == wasm.OpIf && !fr.hasElse && fr.elseLabel >= 0 {
-			x.bind(fr.elseLabel)
-		}
-		if fr.op != wasm.OpLoop && fr.label >= 0 {
-			x.bind(fr.label)
-		}
-		if len(x.ctrls) == 0 {
-			x.emit(Instr{Op: opReturn})
-			return nil
-		}
-		x.h = fr.height + fr.nOut
+		x.end(in)
 	case wasm.OpBr:
-		d, err := r.U32()
-		if err != nil {
-			return err
-		}
-		fr := x.frameAt(d)
-		val, pop := x.branchArgs(fr)
-		x.emitBranch(Instr{Op: opBr, A: val, B: pop}, x.target(fr))
-		x.ctrls[len(x.ctrls)-1].unreach = true
+		x.branch(opBr, in.Side)
+		x.dead = x.depth
 	case wasm.OpBrIf:
-		d, err := r.U32()
-		if err != nil {
-			return err
-		}
-		x.h--
-		fr := x.frameAt(d)
-		val, pop := x.branchArgs(fr)
-		x.emitBranch(Instr{Op: opBrIfNZ, A: val, B: pop}, x.target(fr))
+		x.branch(opBrIfNZ, in.Side)
 	case wasm.OpBrTable:
-		n, err := r.U32()
-		if err != nil {
-			return err
-		}
-		x.h--
-		depths := make([]uint32, n+1)
-		for i := range depths {
-			if depths[i], err = r.U32(); err != nil {
-				return err
-			}
-		}
 		// The table jumps to per-target trampoline br instructions so
 		// each target can have distinct transfer counts.
-		tidx := len(x.tables)
-		x.tables = append(x.tables, make([]int32, len(depths)))
-		trampLabels := make([]int, len(depths))
-		for i := range depths {
-			trampLabels[i] = x.newLabel()
-			x.labels[trampLabels[i]].tfixups = append(x.labels[trampLabels[i]].tfixups, [2]int{tidx, i})
+		first := int32(len(x.out)) + 1
+		t := make([]int32, len(in.Targets))
+		for i := range t {
+			t[i] = first + int32(i)
 		}
-		x.emit(Instr{Op: opBrTableX, A: int32(tidx)})
-		for i, d := range depths {
-			x.bind(trampLabels[i])
-			fr := x.frameAt(d)
-			val, pop := x.branchArgs(fr)
-			x.emitBranch(Instr{Op: opBr, A: val, B: pop}, x.target(fr))
+		x.emit(Instr{Op: opBrTableX, A: int32(len(x.tables))})
+		x.tables = append(x.tables, t)
+		for i := range t {
+			x.branch(opBr, in.Side+uint32(i))
 		}
-		x.ctrls[len(x.ctrls)-1].unreach = true
+		x.dead = x.depth
 	case wasm.OpReturn:
 		x.emit(Instr{Op: opReturn})
-		x.ctrls[len(x.ctrls)-1].unreach = true
-	case wasm.OpCall:
-		fidx, err := r.U32()
-		if err != nil {
-			return err
-		}
-		ft, err := x.m.FuncTypeAt(fidx)
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: wasm.OpCall, A: int32(fidx)})
-		x.h += len(ft.Results) - len(ft.Params)
-	case wasm.OpCallIndirect:
-		typeIdx, err := r.U32()
-		if err != nil {
-			return err
-		}
-		tblIdx, err := r.U32()
-		if err != nil {
-			return err
-		}
-		ft := x.m.Types[typeIdx]
-		x.emit(Instr{Op: wasm.OpCallIndirect, A: int32(typeIdx), B: int32(tblIdx)})
-		x.h += len(ft.Results) - len(ft.Params) - 1
-	case wasm.OpLocalGet, wasm.OpLocalSet, wasm.OpLocalTee:
-		idx, err := r.U32()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op, A: int32(idx)})
-		if op == wasm.OpLocalGet {
-			x.h++
-		} else if op == wasm.OpLocalSet {
-			x.h--
-		}
-	case wasm.OpGlobalGet, wasm.OpGlobalSet:
-		idx, err := r.U32()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op, A: int32(idx)})
-		if op == wasm.OpGlobalGet {
-			x.h++
-		} else {
-			x.h--
-		}
-	case wasm.OpI32Const:
-		v, err := r.S32()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op, Imm: uint64(uint32(v))})
-		x.h++
-	case wasm.OpI64Const:
-		v, err := r.S64()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op, Imm: uint64(v)})
-		x.h++
-	case wasm.OpF32Const:
-		bits, err := r.F32()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op, Imm: uint64(bits)})
-		x.h++
-	case wasm.OpF64Const:
-		bits, err := r.F64()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op, Imm: bits})
-		x.h++
-	case wasm.OpMemorySize, wasm.OpMemoryGrow:
-		if _, err := r.Byte(); err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op})
-		if op == wasm.OpMemorySize {
-			x.h++
-		}
-	case wasm.OpMemoryCopy:
-		if _, err := r.Take(2); err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op})
-		x.h -= 3
-	case wasm.OpMemoryFill:
-		if _, err := r.Byte(); err != nil {
-			return err
-		}
-		x.emit(Instr{Op: op})
-		x.h -= 3
-	case wasm.OpRefNull:
-		if _, err := r.Byte(); err != nil {
-			return err
-		}
-		x.emit(Instr{Op: wasm.OpI64Const, Imm: wasm.NullRef})
-		x.h++
-	case wasm.OpRefIsNull:
-		x.emit(Instr{Op: op})
-	case wasm.OpRefFunc:
-		fidx, err := r.U32()
-		if err != nil {
-			return err
-		}
-		x.emit(Instr{Op: wasm.OpI64Const, Imm: uint64(fidx) + 1})
-		x.h++
-	case wasm.OpDrop:
-		x.emit(Instr{Op: op})
-		x.h--
-	case wasm.OpSelect:
-		x.emit(Instr{Op: op})
-		x.h -= 2
-	case wasm.OpSelectT:
-		n, err := r.U32()
-		if err != nil {
-			return err
-		}
-		if _, err := r.Take(int(n)); err != nil {
-			return err
-		}
-		x.emit(Instr{Op: wasm.OpSelect})
-		x.h -= 2
-	case wasm.OpNop:
-		x.emit(Instr{Op: op})
+		x.dead = x.depth
 	case wasm.OpUnreachable:
 		x.emit(Instr{Op: op})
-		x.ctrls[len(x.ctrls)-1].unreach = true
+		x.dead = x.depth
+	case wasm.OpCall, wasm.OpLocalGet, wasm.OpLocalSet, wasm.OpLocalTee,
+		wasm.OpGlobalGet, wasm.OpGlobalSet:
+		x.emit(Instr{Op: op, A: int32(in.Idx)})
+	case wasm.OpCallIndirect:
+		x.emit(Instr{Op: op, A: int32(in.Idx), B: int32(in.Imm)})
+	case wasm.OpRefNull:
+		x.emit(Instr{Op: wasm.OpI64Const, Imm: wasm.NullRef})
+	case wasm.OpRefFunc:
+		x.emit(Instr{Op: wasm.OpI64Const, Imm: uint64(in.Idx) + 1})
+	case wasm.OpSelectT:
+		x.emit(Instr{Op: wasm.OpSelect})
 	default:
-		// Memory access and numeric instructions.
-		switch op.Imm() {
-		case wasm.ImmMem:
-			if _, err := r.U32(); err != nil {
-				return err
-			}
-			off, err := r.U32()
-			if err != nil {
-				return err
-			}
-			x.emit(Instr{Op: op, Imm: uint64(off)})
-			if _, results, ok := op.Sig(); ok && len(results) > 0 {
-				// load: addr -> value, height unchanged
-			} else {
-				x.h -= 2
-			}
-		case wasm.ImmNone:
-			params, results, ok := op.Sig()
-			if !ok {
-				return fmt.Errorf("rewriter: unsupported opcode %v", op)
-			}
-			x.emit(Instr{Op: op})
-			x.h += len(results) - len(params)
-		default:
-			return fmt.Errorf("rewriter: unsupported opcode %v", op)
+		// Numeric, memory and the remaining immediate-free instructions;
+		// constants carry their bits and memory accesses their offset.
+		var imm uint64
+		switch op.Shape().Imm {
+		case wasm.ImmMem, wasm.ImmI32, wasm.ImmI64, wasm.ImmF32, wasm.ImmF64:
+			imm = in.Imm
 		}
+		x.emit(Instr{Op: op, Imm: imm})
 	}
-	return nil
 }

@@ -52,19 +52,55 @@ func TestPreDecoding(t *testing.T) {
 	}
 }
 
-// TestUnreachableCodeSkipped: dead code after br costs no translated
-// instructions.
+// TestUnreachableCodeSkipped: dead code after a branch costs no
+// translated instructions, through nested blocks, until the else arm or
+// the end of the frame it went dead in, which the sidetable's edges
+// reach.
 func TestUnreachableCodeSkipped(t *testing.T) {
-	code := translate(t, func(f *wasm.FuncBuilder) {
-		f.Block(wasm.BlockEmpty)
-		f.Br(0)
-		f.I32Const(1).Op(wasm.OpDrop) // dead
-		f.End()
-		f.End()
-	}, wasm.FuncType{})
+	b := wasm.NewBuilder()
+	f := b.NewFunc("pick", wasm.FuncType{
+		Params:  []wasm.ValueType{wasm.I32},
+		Results: []wasm.ValueType{wasm.I32},
+	})
+	f.Block(wasm.BlockVal(wasm.I32))
+	f.LocalGet(0)
+	f.If(wasm.BlockVal(wasm.I32))
+	f.I32Const(7).Br(1)
+	f.Block(wasm.BlockEmpty) // dead, with a dead if/else and loop inside
+	f.I32Const(99).If(wasm.BlockEmpty).Else().End()
+	f.Loop(wasm.BlockEmpty).Br(0).End()
+	f.End()
+	f.Op(wasm.OpUnreachable)
+	f.Else() // live again: the if's false edge lands here
+	f.I32Const(3)
+	f.End()
+	f.End()
+	f.Op(wasm.OpReturn)
+	f.I32Const(99).Op(wasm.OpDrop) // dead up to the function's end
+	f.End()
+	b.Export("pick", f.Idx)
+	m := b.Module()
+
+	code, err := rewriter.Translate(m, 0, &m.Funcs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, in := range code.Instrs {
-		if in.Op == wasm.OpI32Const {
-			t.Error("dead constant survived translation")
+		if in.Op == wasm.OpI32Const && in.Imm == 99 || in.Op == wasm.OpUnreachable {
+			t.Errorf("dead %v survived translation", in.Op)
+		}
+	}
+	inst, err := engine.New(engines.Wasm3Like(), nil).Instantiate(b.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for arg, want := range map[int32]int32{1: 7, 0: 3} {
+		got, err := inst.Call("pick", wasm.ValI32(arg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0].I32() != want {
+			t.Errorf("pick(%d) = %d, want %d", arg, got[0].I32(), want)
 		}
 	}
 }

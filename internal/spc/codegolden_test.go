@@ -15,6 +15,7 @@ import (
 	"wizgo/internal/engine"
 	"wizgo/internal/engines"
 	"wizgo/internal/mach"
+	"wizgo/internal/rewriter"
 	"wizgo/internal/validate"
 	"wizgo/internal/wasm"
 	"wizgo/internal/wbin"
@@ -26,30 +27,40 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/code.golden from
 const goldenPath = "testdata/code.golden"
 
 // hashCode folds one function's serialized code (the artifact bytes) and
-// its frame shape into h.
-func hashCode(t *testing.T, h hash.Hash, code *mach.Code) {
+// its frame shape into h. A translated body's artifact bytes already
+// hold its frame shape.
+func hashCode(t *testing.T, h hash.Hash, code engine.Code) {
 	t.Helper()
 	w := wbin.NewWriter(1024)
-	if err := code.AppendTo(w); err != nil {
-		t.Fatalf("func %d: %v", code.FuncIdx, err)
+	switch c := code.(type) {
+	case *mach.Code:
+		if err := c.AppendTo(w); err != nil {
+			t.Fatalf("func %d: %v", c.FuncIdx, err)
+		}
+		h.Write(w.Bytes())
+		fmt.Fprintf(h, "|%d %d %d|", c.NumSlots, c.NumParams, c.NumResults)
+	case *rewriter.Code:
+		if err := c.AppendTo(w); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(w.Bytes())
+	default:
+		t.Fatalf("no serialization for %T", code)
 	}
-	h.Write(w.Bytes())
-	fmt.Fprintf(h, "|%d %d %d|", code.NumSlots, code.NumParams, code.NumResults)
 }
 
-// TestSPCCodeGolden pins the code the single-pass compilers emit: a
-// SHA-256 per suite item of every function's artifact bytes under
-// wizeng-spc, and one per configuration over the whole suite for every
-// other preset whose code is a mach.Code. Each is compiled through
-// Tier.Compile (the recompile path probes and lazy tiers take); eager
-// configurations are also compiled through Engine.Compile (the fused
-// path), which must produce the same bytes. Regenerate with
-// `go test ./internal/spc -run TestSPCCodeGolden -update` only for a
-// change that is meant to alter emitted code.
+// TestSPCCodeGolden pins the code the compiling tiers emit: a SHA-256
+// per suite item of every function's artifact bytes under wizeng-spc,
+// and one per configuration over the whole suite for every other preset
+// with a tier, mach code and rewriter translations alike. Each is
+// compiled through Tier.Compile (the recompile path probes and lazy
+// tiers take); eager configurations are also compiled through
+// Engine.Compile (the fused path), which must produce the same bytes.
+// Regenerate with `go test ./internal/spc -run TestSPCCodeGolden
+// -update` only for a change that is meant to alter emitted code.
 func TestSPCCodeGolden(t *testing.T) {
 	items := workloads.All()
 	var got []string
-configs:
 	for _, cfg := range engines.FullMatrix() {
 		if cfg.Tier == nil {
 			continue
@@ -74,11 +85,7 @@ configs:
 				if err != nil {
 					t.Fatalf("%s %s/%s: %v", cfg.Name, it.Suite, it.Name, err)
 				}
-				mc, ok := code.(*mach.Code)
-				if !ok {
-					continue configs // a rewriter tier: not this compiler's code
-				}
-				hashCode(t, h, mc)
+				hashCode(t, h, code)
 			}
 			sum := h.Sum(nil)
 			if eager {
@@ -88,7 +95,7 @@ configs:
 				}
 				fused := sha256.New()
 				for _, c := range cm.Codes {
-					hashCode(t, fused, c.(*mach.Code))
+					hashCode(t, fused, c)
 				}
 				if !bytes.Equal(fused.Sum(nil), sum) {
 					t.Errorf("%s %s/%s: Engine.Compile and Tier.Compile emit different code", cfg.Name, it.Suite, it.Name)

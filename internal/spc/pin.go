@@ -12,15 +12,17 @@ import (
 // a single forward pass cannot provide and why optimizing tiers beat
 // baselines on loop-heavy code. The body is not validated yet: the
 // count stops at the first bytes that do not decode, and the walk that
-// follows reports them.
+// follows reports them. It is the one decoder outside the validator's
+// walk in a translating package: the counts must be known before the
+// walk starts.
 func (c *compiler) analyzeLocals() {
 	if c.cfg.PinLocals <= 0 {
 		return
 	}
 	counts := make([]int, len(c.info.LocalTypes))
-	r := wasm.NewReader(c.decl.Body)
+	r := wasm.NewReader(c.decl.Body) //vet:allow onedecoder
 	for r.Len() > 0 {
-		op, err := r.ReadOpcode()
+		op, err := r.ReadOpcode() //vet:allow onedecoder
 		if err != nil {
 			break
 		}
@@ -32,7 +34,7 @@ func (c *compiler) analyzeLocals() {
 			if int(idx) < len(counts) {
 				counts[idx]++
 			}
-		} else if r.SkipImm(op) != nil {
+		} else if r.SkipImm(op) != nil { //vet:allow onedecoder
 			break
 		}
 	}

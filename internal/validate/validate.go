@@ -9,9 +9,10 @@
 // The walk is a step function: Walker.Next decodes one instruction and
 // its immediates, type-checks it, records its sidetable entries and
 // hands the decoded Instr back. Module and Function loop over the step;
-// the single-pass compiler drives the same step and translates each
-// instruction as it is handed over, so a body is decoded and
-// type-checked once whether or not it is also compiled.
+// the compilers and the rewriting interpreter's translator drive the
+// same step and translate each instruction as it is handed over, so a
+// body is decoded and type-checked once whether or not it is also
+// compiled, and branches are resolved by the one sidetable rule.
 package validate
 
 import (
@@ -126,6 +127,10 @@ type Instr struct {
 	// Idx is the index immediate: a branch depth, or a local, global,
 	// function or type index.
 	Idx uint32
+	// Side is the sidetable index of the first entry the instruction
+	// owns (see FuncInfo.Sidetable), recorded before the walk hands the
+	// instruction over.
+	Side uint32
 	// Imm is a constant's bits, a memory access's offset or
 	// call_indirect's table index.
 	Imm uint64
@@ -317,6 +322,12 @@ func (w Walker) Next() (*Instr, error) { return w.v.next() }
 // walk starts, everything else when Next reports the end of the body.
 func (w Walker) Info() *FuncInfo { return w.v.info }
 
+// Sidetable is the walk's sidetable so far, in the walker's buffer: an
+// entry's target is final once the walk has passed it, so all are after
+// Next reports the end of the body. Valid until Release, also when the
+// walk validates into scratch.
+func (w Walker) Sidetable() []SidetableEntry { return w.v.side }
+
 // Release returns the walker's scratch to the pool.
 func (w Walker) Release() { w.v.release() }
 
@@ -403,7 +414,7 @@ func (v *validator) next() (*Instr, error) {
 	} else {
 		v.r.Pos++
 	}
-	in.Op, in.PC = op, pc
+	in.Op, in.PC, in.Side = op, pc, uint32(len(v.side))
 	if err := v.instr(op, in); err != nil {
 		return nil, err
 	}
