@@ -20,13 +20,14 @@ import (
 // CompilerRevision stamps every persisted artifact. Bump it whenever
 // compiled output or its stored form changes shape or meaning — new
 // opcodes, changed frame layout, changed sidetable semantics, a changed
-// record encoding — and every stale artifact in every cache directory
-// is evicted on its next load instead of executing under wrong
-// assumptions. The analysis version is folded in
-// because the serialized read-only bit licenses skipping the memory
-// reset: an artifact produced under different analysis rules must
-// self-invalidate.
-const CompilerRevision = "wizgo-codegen-5+analysis-" + analysis.Version
+// record encoding, a field added to or dropped from the payload — and
+// every stale artifact in every cache directory is evicted on its next
+// load instead of executing under wrong assumptions.
+// TestArtifactFormatPinned holds the encoding of one module per payload
+// shape to the revision. The analysis version is folded in because the
+// serialized read-only bit licenses skipping the memory reset: an
+// artifact produced under different analysis rules must self-invalidate.
+const CompilerRevision = "wizgo-codegen-6+analysis-" + analysis.Version
 
 // DiskStamp returns the producer identity for this build: the host ISA
 // (MachCode is portable, but a real JIT cache is ISA-keyed, and keeping
@@ -59,22 +60,21 @@ const (
 var errUncacheableCode = errors.New("engine: code type has no artifact serialization")
 
 // encodeArtifact serializes a compiled module into the disk-cache
-// payload: the decoded module skeleton, the validation metadata of
-// every local function, and its compiled code section. The module
-// bytes themselves are NOT stored — the cache key is their content
-// hash, so whoever asks for this artifact already holds them — but the
-// decoded structure is, so a cold load never re-parses the binary:
-// function bodies rehydrate as offsets into the module bytes.
+// payload: the validation output of every local function (sidetable,
+// max stack height, read-only bit) and its compiled code section. It
+// holds only what is expensive to recompute. The module bytes are not
+// stored — the cache key is their content hash, so whoever asks for
+// this artifact already holds them — and neither is anything decoding
+// them yields: the module structure and each function's frame.
 func encodeArtifact(cm *CompiledModule) ([]byte, error) {
 	// Section headers carry exact bulk totals so the decoder can
 	// allocate each kind of storage once, up front, and sub-slice per
 	// function (see mach.DecodeArena): a cold process's rehydration
 	// cost is mostly allocation, and scattered small makes fault in
 	// heap spans one by one.
-	var totST, totInfoTypes int
+	totST := 0
 	for i := range cm.Infos {
 		totST += len(cm.Infos[i].Sidetable)
-		totInfoTypes += len(cm.Infos[i].LocalTypes) + len(cm.Infos[i].Results)
 	}
 	var nMach, machInstrs, machTypes int
 	var nRw, rwInstrs, rwTypes int
@@ -91,16 +91,12 @@ func encodeArtifact(cm *CompiledModule) ([]byte, error) {
 		}
 	}
 	// The same totals size the writer: a record averages 4-5 bytes, a
-	// function's headers and skeleton entry a few dozen. An
-	// underestimate only costs an append growth.
-	w := wbin.NewWriter(1024 + 96*len(cm.Infos) + 6*(totST+machInstrs+rwInstrs) +
-		totInfoTypes + machTypes + rwTypes)
-
-	wasm.AppendSkeleton(w, cm.Module)
+	// function's headers a few dozen. An underestimate only costs an
+	// append growth.
+	w := wbin.NewWriter(64 + 48*len(cm.Infos) + 6*(totST+machInstrs+rwInstrs) + machTypes + rwTypes)
 
 	w.Uvarint(uint64(len(cm.Infos)))
 	w.Uvarint(uint64(totST))
-	w.Uvarint(uint64(totInfoTypes))
 	for i := range cm.Infos {
 		if err := encodeFuncInfo(w, &cm.Infos[i]); err != nil {
 			return nil, err
@@ -138,36 +134,47 @@ func encodeArtifact(cm *CompiledModule) ([]byte, error) {
 }
 
 // decodeArtifact rebuilds a CompiledModule from module bytes plus a
-// verified artifact payload. Nothing is re-derived from the binary:
-// the module structure rehydrates from the persisted skeleton (bodies
-// resolve as offsets into bytes), the sidetables come from the payload,
-// and the code sections materialize directly as executor objects —
-// no parse, no validation, no compilation. This is the zero-compile
-// cold-start path.
+// verified artifact payload. It begins as compile does — decode the
+// bytes, run the module-level checks — so the structure served is
+// always the module's own, whatever a payload claims; each function's
+// frame follows from the decoded module. Then, in place of validating
+// and compiling the bodies, it reads the sidetables and the code
+// sections the payload carries, which materialize directly as executor
+// objects. This is the zero-compile cold-start path.
 func (e *Engine) decodeArtifact(bytes []byte, payload []byte) (*CompiledModule, error) {
 	t1 := time.Now()
-	r := wbin.NewReader(payload)
-	m, err := wasm.DecodeSkeleton(r, bytes)
+	m, err := wasm.Decode(bytes)
 	if err != nil {
 		return nil, err
 	}
+	if err := validate.ModuleLevel(m); err != nil {
+		return nil, err
+	}
+	r := wbin.NewReader(payload)
 	nInfos := r.Count(1)
 	if r.Err() == nil && nInfos != len(m.Funcs) {
 		return nil, fmt.Errorf("engine: artifact has %d function infos, module has %d functions",
 			nInfos, len(m.Funcs))
 	}
-	// Bulk totals from the section header, validated against the
-	// remaining payload (Count) so corrupt totals cannot provoke a
-	// runaway allocation; a lying total merely exhausts the arena and
-	// the decoders fall back to plain makes.
+	// The sidetable total comes from the section header, validated
+	// against the remaining payload (Count) so a corrupt total cannot
+	// provoke a runaway allocation; a lying total merely exhausts the
+	// arena and the decoder falls back to plain makes.
 	totST := r.Count(wbin.MinRecordLen)
 	ia := infoArena{
 		st:     make([]validate.SidetableEntry, 0, totST),
 		owners: make([]uint32, 0, totST),
-		types:  make([]wasm.ValueType, 0, r.Count(1)),
 	}
+	// Every frame's local types are carved from one block.
+	nLocals := 0
+	for i := range m.Funcs {
+		nLocals += len(m.Types[m.Funcs[i].TypeIdx].Params) + len(m.Funcs[i].Locals)
+	}
+	frames := make([]wasm.ValueType, nLocals)
 	infos := make([]validate.FuncInfo, nInfos)
 	for i := range infos {
+		infos[i] = validate.Frame(m, &m.Funcs[i], frames)
+		frames = frames[len(infos[i].LocalTypes):]
 		if err := decodeFuncInfo(r, &infos[i], &ia); err != nil {
 			return nil, err
 		}
@@ -238,13 +245,14 @@ func (e *Engine) decodeArtifact(bytes []byte, payload []byte) (*CompiledModule, 
 	return cm, nil
 }
 
-// encodeFuncInfo serializes one function's validation output — the
-// sidetable and frame metadata every executor (and the deopt path)
-// needs — so a disk load skips the validation pass too. A sidetable
-// entry is one compact record (see wbin.Record) — TargetIP leading,
-// then TargetSTP, ValCount, PopCount — with its owner's bytecode offset
-// as the delta-coded side value; for interpreter tiers the sidetable IS
-// the artifact, so this is their whole cold-start decode cost.
+// encodeFuncInfo serializes the part of one function's validation
+// output that decoding the module does not give back — the sidetable,
+// the max stack height and the read-only bit — so a disk load skips
+// the validation pass and the analysis. A sidetable entry is one
+// compact record (see wbin.Record) — TargetIP leading, then TargetSTP,
+// ValCount, PopCount — with its owner's bytecode offset as the
+// delta-coded side value; for interpreter tiers the sidetable IS the
+// artifact, so this is their whole cold-start decode cost.
 func encodeFuncInfo(w *wbin.Writer, fi *validate.FuncInfo) error {
 	if len(fi.Owners) != len(fi.Sidetable) {
 		return fmt.Errorf("engine: sidetable has %d owners for %d entries", len(fi.Owners), len(fi.Sidetable))
@@ -257,29 +265,17 @@ func encodeFuncInfo(w *wbin.Writer, fi *validate.FuncInfo) error {
 		prev = owner
 	}
 	w.Uvarint(uint64(fi.MaxStack))
-	w.Uvarint(uint64(len(fi.LocalTypes)))
-	for _, t := range fi.LocalTypes {
-		w.U8(uint8(t))
-	}
-	w.Uvarint(uint64(len(fi.Results)))
-	for _, t := range fi.Results {
-		w.U8(uint8(t))
-	}
-	w.Uvarint(uint64(fi.NumParams))
-	w.Uvarint(uint64(fi.BodyLen))
-	// The read-only bit rides in the artifact so a disk-cache load keeps
-	// the reset skip without rerunning the analysis.
 	w.Bool(fi.ReadOnly)
 	return nil
 }
 
-// infoArena holds the artifact-wide bulk storage for FuncInfo decoding,
-// sized from the section header's totals; see mach.DecodeArena for the
-// rationale. Exhaustion (lying totals) falls back to plain allocation.
+// infoArena holds the artifact-wide bulk storage for sidetable
+// decoding, sized from the section header's total; see
+// mach.DecodeArena for the rationale. Exhaustion (a lying total) falls
+// back to plain allocation.
 type infoArena struct {
 	st     []validate.SidetableEntry
 	owners []uint32
-	types  []wasm.ValueType
 }
 
 func (a *infoArena) takeST(n int) []validate.SidetableEntry {
@@ -300,15 +296,8 @@ func (a *infoArena) takeOwners(n int) []uint32 {
 	return s
 }
 
-func (a *infoArena) takeTypes(n int) []wasm.ValueType {
-	if len(a.types)+n > cap(a.types) {
-		return make([]wasm.ValueType, n)
-	}
-	s := a.types[len(a.types) : len(a.types)+n]
-	a.types = a.types[:len(a.types)+n]
-	return s
-}
-
+// decodeFuncInfo reads into fi, whose frame is already set, what
+// encodeFuncInfo wrote.
 func decodeFuncInfo(r *wbin.Reader, fi *validate.FuncInfo, arena *infoArena) error {
 	if nST := r.Count(wbin.MinRecordLen); nST > 0 {
 		fi.Sidetable = arena.takeST(nST)
@@ -326,27 +315,8 @@ func decodeFuncInfo(r *wbin.Reader, fi *validate.FuncInfo, arena *infoArena) err
 		}
 	}
 	fi.MaxStack = int(r.Uvarint())
-	nLocals := r.Count(1)
-	fi.LocalTypes = arena.takeTypes(nLocals)
-	for i := range fi.LocalTypes {
-		fi.LocalTypes[i] = wasm.ValueType(r.U8())
-	}
-	nResults := r.Count(1)
-	if nResults > 0 {
-		fi.Results = arena.takeTypes(nResults)
-		for i := range fi.Results {
-			fi.Results[i] = wasm.ValueType(r.U8())
-		}
-	}
-	fi.NumParams = int(r.Uvarint())
-	fi.BodyLen = int(r.Uvarint())
+	// The read-only bit rides in the artifact so a disk-cache load keeps
+	// the reset skip without rerunning the analysis.
 	fi.ReadOnly = r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if fi.NumParams > len(fi.LocalTypes) {
-		return fmt.Errorf("engine: artifact declares %d params over %d locals",
-			fi.NumParams, len(fi.LocalTypes))
-	}
-	return nil
+	return r.Err()
 }

@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -251,6 +253,55 @@ func TestArtifactWildBranchRecompiles(t *testing.T) {
 	}
 }
 
+// TestArtifactForOtherModuleRejected plants, under a valid envelope for
+// a module B, the artifact of a valid module A that differs from B only
+// in one export index, which B has out of range. The structure served
+// must be B's own, so the load fails B's module-level checks, the
+// artifact is evicted, and Compile reports B's validation error. A
+// payload that carried the module structure used to serve A instead,
+// and a structure it lied about reached Instantiate unchecked.
+func TestArtifactForOtherModuleRejected(t *testing.T) {
+	module := hostileModule()
+	cfg := engines.WizardSPC()
+	payload, err := engine.EncodeArtifact(mustCompile(t, engine.New(cfg, nil), module))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The export entry "f" -> function 0; index 5 has the same one-byte
+	// LEB, so every other byte of the module keeps its offset.
+	entry := []byte{1, 'f', byte(wasm.ImportFunc), 0}
+	if n := bytes.Count(module, entry); n != 1 {
+		t.Fatalf("export entry occurs %d times in the module, want 1", n)
+	}
+	bad := bytes.Clone(module)
+	bad[bytes.Index(bad, entry)+len(entry)-1] = 5
+	_, want := engine.New(cfg, nil).Compile(bad)
+	if want == nil {
+		t.Fatal("the module with an out-of-range export compiled")
+	}
+
+	dir := t.TempDir()
+	disk, err := engine.OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Store(codecache.KeyFor(bad, cfg.Fingerprint()), payload); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = codecache.New(codecache.Options{})
+	if cfg.DiskCache, err = engine.OpenDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if cm, err := engine.New(cfg, nil).Compile(bad); err == nil {
+		t.Fatalf("Compile served %d functions from another module's artifact", len(cm.Infos))
+	} else if err.Error() != want.Error() {
+		t.Errorf("Compile error %q, want the module's validation error %q", err, want)
+	}
+	if st := cfg.DiskCache.Stats(); st.CorruptEvictions != 1 {
+		t.Errorf("disk stats %+v, want one eviction", st)
+	}
+}
+
 func mustCompile(t *testing.T, e *engine.Engine, module []byte) *engine.CompiledModule {
 	t.Helper()
 	cm, err := e.Compile(module)
@@ -265,6 +316,39 @@ func mustCompile(t *testing.T, e *engine.Engine, module []byte) *engine.Compiled
 // artifact).
 func payloadShapes() []engine.Config {
 	return []engine.Config{engines.WizardSPC(), engines.Wasm3Like(), engines.WizardINT()}
+}
+
+// artifactSHA256 pins the artifact of hostileModule under each of
+// payloadShapes to the CompilerRevision that writes it. An artifact
+// whose bytes change while the revision stays would be misread by a
+// cache directory seeded before the change; a new revision records its
+// hashes here.
+var artifactSHA256 = map[string]map[string]string{
+	"wizgo-codegen-6+analysis-a3": {
+		"wizeng-spc": "708e51cbd344dda758dcb00e119f0bd37f3df6fc747e8345433fd501cdfca3a4",
+		"wasm3":      "b4c32877272a655f420e84fdf69f2db23a4e4bcafc34ee5821386ca169924ccd",
+		"wizeng-int": "26ddd1a48a3c3dc005f6848351dbbb448455565c801773f1ed508177c2f944be",
+	},
+}
+
+// TestArtifactFormatPinned fails when the artifact encoding changes
+// under an already-recorded CompilerRevision.
+func TestArtifactFormatPinned(t *testing.T) {
+	pinned, ok := artifactSHA256[engine.CompilerRevision]
+	for _, cfg := range payloadShapes() {
+		enc, err := engine.EncodeArtifact(mustCompile(t, engine.New(cfg, nil), hostileModule()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256(enc))
+		switch {
+		case !ok:
+			t.Errorf("no hashes recorded for revision %q: %s is %s", engine.CompilerRevision, cfg.Name, got)
+		case pinned[cfg.Name] != got:
+			t.Errorf("%s artifact hashes to %s, recorded as %s under revision %q: bump CompilerRevision",
+				cfg.Name, got, pinned[cfg.Name], engine.CompilerRevision)
+		}
+	}
 }
 
 // TestArtifactTruncation: a payload of any shape cut at any byte is an

@@ -106,9 +106,10 @@ func TestArtifactColdReload(t *testing.T) {
 }
 
 // TestArtifactColdReloadLazyTier: a lazy configuration compiles nothing
-// eagerly, so its artifact carries only the skeleton and validation
-// metadata — the cold process must still reload it, skip validation,
-// and compile per instance on first call exactly like the seed did.
+// eagerly, so its artifact carries only the sidetables, max stack
+// heights and read-only bits — the cold process must still reload it,
+// skip function validation, and compile per instance on first call
+// exactly like the seed did.
 func TestArtifactColdReloadLazyTier(t *testing.T) {
 	item := workloads.Ostrich()[3]
 	cfg := engines.WizardTiered(100)

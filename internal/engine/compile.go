@@ -81,8 +81,10 @@ func (cfg Config) Fingerprint() string {
 // memoized by content hash and configuration fingerprint, and concurrent
 // compiles of the same module collapse into one. With a disk cache
 // attached, a memory miss first tries to rehydrate a persisted artifact
-// (skipping decode-validation-compile down to just the decode), and a
-// fresh compile is written through for the next cold start.
+// (the module is decoded and its module-level checks run as in a
+// compile, but each function's validation and compilation is read from
+// the artifact), and a fresh compile is written through for the next
+// cold start.
 func (e *Engine) Compile(bytes []byte) (*CompiledModule, error) {
 	if e.cfg.Cache == nil {
 		return e.compile(bytes)

@@ -153,10 +153,11 @@ type Timings struct {
 	// module rehydrated from disk (the read-only bits travel inside the
 	// artifact).
 	Analyze time.Duration
-	// Rehydrate is the time spent materializing a persisted artifact's
-	// sidetables and code sections on a disk-cache load — the pipeline
-	// work that replaces Validate+Compile on the zero-compile path.
-	// Zero on a freshly compiled module.
+	// Rehydrate is the whole of a disk-cache load — decoding the module
+	// and its module-level checks, then materializing the artifact's
+	// sidetables and code sections — the pipeline work that replaces
+	// Decode+Validate+Compile on the zero-compile path. Zero on a
+	// freshly compiled module.
 	Rehydrate time.Duration
 	// CodeBytes is the total size of emitted machine code.
 	CodeBytes int

@@ -54,8 +54,6 @@ type FuncInfo struct {
 	Results []wasm.ValueType
 	// NumParams is the number of parameters within LocalTypes.
 	NumParams int
-	// BodyLen is the length of the validated body in bytes.
-	BodyLen int
 	// NoWrites reports that the body holds no store, memory.grow/fill/copy
 	// or call_indirect, reachable or not; Callees lists its direct calls'
 	// function indices in body order. Both are noted during the walk as
@@ -69,6 +67,23 @@ type FuncInfo struct {
 	// Imports and indirect calls are conservatively assumed to write, and
 	// the zero value (analysis did not run) is the conservative answer.
 	ReadOnly bool
+}
+
+// Frame returns the FuncInfo of f, a function of m, with only its frame
+// set: LocalTypes (the parameters, then the declared locals), Results
+// and NumParams. It is the one definition of a function's frame: the
+// walk starts from it, and a disk load rebuilds it from the decoded
+// module instead of storing it. LocalTypes is carved from the front of
+// buf when buf has room for it, so a caller can lay every frame of a
+// module out in one block.
+func Frame(m *wasm.Module, f *wasm.Func, buf []wasm.ValueType) FuncInfo {
+	ft := m.Types[f.TypeIdx]
+	n := len(ft.Params) + len(f.Locals)
+	if cap(buf) < n {
+		buf = make([]wasm.ValueType, 0, n)
+	}
+	locals := append(append(buf[:0:n], ft.Params...), f.Locals...)
+	return FuncInfo{LocalTypes: locals, Results: ft.Results, NumParams: len(ft.Params)}
 }
 
 // NumSlots returns the frame size in value slots (locals + max operand
@@ -217,14 +232,24 @@ func Module(m *wasm.Module) ([]FuncInfo, error) {
 
 // ModuleLevel checks everything outside the function bodies: type
 // indices of imports and functions, export, element and data targets,
-// the memory count and the start function. Function bodies are
-// validated separately (Function, or a Walker driven by a compiler),
-// which assumes these checks passed.
+// the memory count and limits, and the start function. Function bodies
+// are validated separately (Function, or a Walker driven by a
+// compiler), which assumes these checks passed.
 func ModuleLevel(m *wasm.Module) error {
 	for _, imp := range m.Imports {
 		if imp.Kind == wasm.ImportFunc && int(imp.TypeIdx) >= len(m.Types) {
 			return fmt.Errorf("validate: import %s.%s: type index %d out of range",
 				imp.Module, imp.Name, imp.TypeIdx)
+		}
+		if imp.Kind == wasm.ImportMemory {
+			if err := memoryLimits(imp.Lim); err != nil {
+				return fmt.Errorf("validate: import %s.%s: %v", imp.Module, imp.Name, err)
+			}
+		}
+	}
+	for i, lim := range m.Memories {
+		if err := memoryLimits(lim); err != nil {
+			return fmt.Errorf("validate: memory %d: %v", i, err)
 		}
 	}
 	// Counted once: the Num* helpers walk the import section, and the
@@ -283,6 +308,19 @@ func ModuleLevel(m *wasm.Module) error {
 		if len(ft.Params) != 0 || len(ft.Results) != 0 {
 			return fmt.Errorf("validate: start function must have type () -> (), has %v", ft)
 		}
+	}
+	return nil
+}
+
+// memoryLimits checks a memory's limits against the spec's 4 GiB bound;
+// instantiation allocates the minimum, so an unchecked one is a fatal
+// out-of-memory rather than an error.
+func memoryLimits(lim wasm.Limits) error {
+	if lim.Min > wasm.MaxPages {
+		return fmt.Errorf("memory minimum %d pages exceeds %d", lim.Min, wasm.MaxPages)
+	}
+	if lim.HasMax && lim.Max > wasm.MaxPages {
+		return fmt.Errorf("memory maximum %d pages exceeds %d", lim.Max, wasm.MaxPages)
 	}
 	return nil
 }
@@ -365,23 +403,13 @@ func (v *validator) function(fidx uint32, f *wasm.Func, info *FuncInfo) error {
 
 // begin sets up the walk of f into info.
 func (v *validator) begin(fidx uint32, f *wasm.Func, info *FuncInfo) {
-	ft := v.m.Types[f.TypeIdx]
-	locals := make([]wasm.ValueType, 0, len(ft.Params)+len(f.Locals))
-	locals = append(locals, ft.Params...)
-	locals = append(locals, f.Locals...)
-
-	*info = FuncInfo{
-		LocalTypes: locals,
-		Results:    ft.Results,
-		NumParams:  len(ft.Params),
-		BodyLen:    len(f.Body),
-	}
+	*info = Frame(v.m, f, nil)
 	v.r = wasm.Reader{Bytes: f.Body}
 	v.vals, v.ctrls = v.vals[:0], v.ctrls[:0]
 	v.side, v.owners, v.callees = v.side[:0], v.owners[:0], v.callees[:0]
-	v.info, v.fidx, v.locals, v.writes, v.maxStack = info, fidx, locals, false, 0
+	v.info, v.fidx, v.locals, v.writes, v.maxStack = info, fidx, info.LocalTypes, false, 0
 	v.in.Op, v.in.PC = noOpcode, 0
-	v.pushCtrl(0, nil, ft.Results)
+	v.pushCtrl(0, nil, info.Results)
 }
 
 // next is one step of the walk: decode, check and record one

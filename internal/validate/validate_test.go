@@ -255,6 +255,34 @@ func TestExportIndexChecks(t *testing.T) {
 	}
 }
 
+// TestMemoryLimitChecks: a defined or imported memory whose minimum or
+// maximum exceeds the spec's 65536 pages is invalid. Instantiation
+// allocates the minimum, so such a module used to pass validation and
+// then end the process with a fatal out-of-memory.
+func TestMemoryLimitChecks(t *testing.T) {
+	empty := func(b *wasm.Builder) { b.NewFunc("f", wasm.FuncType{}).End() }
+	for _, pages := range []uint32{wasm.MaxPages + 1, 1 << 20, 0xFFFFFFFF} {
+		for _, lim := range []wasm.Limits{{Min: pages}, {Min: 1, Max: pages, HasMax: true}} {
+			defined := mod(t, empty)
+			defined.Memories = append(defined.Memories, lim)
+			imported := mod(t, empty)
+			imported.Imports = append(imported.Imports, wasm.Import{
+				Module: "env", Name: "mem", Kind: wasm.ImportMemory, Lim: lim,
+			})
+			for name, m := range map[string]*wasm.Module{"defined": defined, "imported": imported} {
+				if _, err := validate.Module(m); err == nil {
+					t.Errorf("%s memory with limits %+v validated", name, lim)
+				}
+			}
+		}
+	}
+	m := mod(t, empty)
+	m.Memories = append(m.Memories, wasm.Limits{Min: wasm.MaxPages, Max: wasm.MaxPages, HasMax: true})
+	if _, err := validate.Module(m); err != nil {
+		t.Errorf("a memory of exactly %d pages: %v", wasm.MaxPages, err)
+	}
+}
+
 // TestWrappedPrefixOpcodeRejected: FC EA FE 03 is the 0xFC sub-opcode
 // 0xFF6A; folded into a uint16 it used to wrap onto i32.add, so this
 // body validated (and every tier ran it as 1+2).

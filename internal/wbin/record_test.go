@@ -132,7 +132,7 @@ func TestRecordHostile(t *testing.T) {
 	}
 	// A latched reader hands out zero records without touching the input.
 	r := NewReader(make([]byte, 2*MaxRecordLen))
-	r.Take(-1)
+	r.Raw(-1)
 	if got := readRec(r); got != (rec{}) || r.Remaining() != 2*MaxRecordLen {
 		t.Errorf("Record after a latched error: %+v, %d bytes left", got, r.Remaining())
 	}

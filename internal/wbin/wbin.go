@@ -44,20 +44,11 @@ func NewWriter(capHint int) *Writer {
 // Bytes returns the encoded bytes (owned by the writer).
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
-// U16 appends a fixed-width little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
 // U32 appends a fixed-width little-endian uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a fixed-width little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -74,12 +65,6 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// Bytes8 appends a length-prefixed byte slice.
-func (w *Writer) Bytes8(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
@@ -88,14 +73,6 @@ func (w *Writer) String(s string) {
 
 // Raw appends bytes with no prefix (for fixed-size fields).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
-
-// Reserve appends n zero bytes and returns them for in-place filling,
-// so a block of one-byte elements is written without an append per
-// element. The slice is only valid until the next write.
-func (w *Writer) Reserve(n int) []byte {
-	w.buf = append(w.buf, make([]byte, n)...)
-	return w.buf[len(w.buf)-n:]
-}
 
 // Reader decodes wbin-encoded bytes. The zero value over a byte slice
 // is usable; construct with NewReader.
@@ -146,15 +123,6 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// U16 reads a fixed-width little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 reads a fixed-width little-endian uint32.
 func (r *Reader) U32() uint32 {
 	b := r.take(4)
@@ -162,15 +130,6 @@ func (r *Reader) U32() uint32 {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a fixed-width little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }
 
 // Uvarint reads an unsigned varint.
@@ -235,16 +194,6 @@ func (r *Reader) Count(elemSize int) int {
 	return int(v)
 }
 
-// Bytes8 reads a length-prefixed byte slice (copied out of the buffer).
-func (r *Reader) Bytes8() []byte {
-	n := r.Length()
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Length()
@@ -263,11 +212,3 @@ func (r *Reader) Raw(n int) []byte {
 	}
 	return append([]byte(nil), b...)
 }
-
-// Take returns the next n bytes as a view into the input — NOT a copy —
-// and advances past them, or nil (with the error latched) if fewer
-// remain. It exists for blocks of one-byte elements, decoded in place
-// of a reader call per element; callers must finish decoding the view
-// into their own structures before the backing buffer goes away (e.g.
-// an mmap'd artifact being unmapped).
-func (r *Reader) Take(n int) []byte { return r.take(n) }

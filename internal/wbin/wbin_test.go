@@ -12,68 +12,55 @@ import (
 // must stay field-for-field mirrors of each other.
 type record struct {
 	u8     uint8
-	u16    uint16
 	u32    uint32
-	u64    uint64
 	uv     uint64
 	sv     int64
 	yes    bool
 	no     bool
-	blob   []byte
 	str    string
 	raw    [3]byte
-	block  [4]byte // written through Reserve, read through Take
-	length int     // Length prefix, followed by that many Raw bytes
-	count  int     // Count prefix of 2-byte elements
+	length int // Length prefix, followed by that many Raw bytes
+	count  int // Count prefix of 2-byte elements
 }
 
 var sample = record{
-	u8: 0xAB, u16: 0xBEEF, u32: 0xDEADBEEF, u64: math.MaxUint64,
+	u8: 0xAB, u32: 0xDEADBEEF,
 	uv: 1<<40 + 7, sv: math.MinInt64, yes: true, no: false,
-	blob: []byte{1, 2, 3, 4, 5}, str: "wizgo-codegen", raw: [3]byte{9, 8, 7},
-	block: [4]byte{0xCA, 0xFE, 0xF0, 0x0D}, length: 2, count: 3,
+	str: "wizgo-codegen", raw: [3]byte{9, 8, 7}, length: 2, count: 3,
 }
 
 func (rec record) write(w *Writer) {
 	w.U8(rec.u8)
-	w.U16(rec.u16)
 	w.U32(rec.u32)
-	w.U64(rec.u64)
 	w.Uvarint(rec.uv)
 	w.Varint(rec.sv)
 	w.Bool(rec.yes)
 	w.Bool(rec.no)
-	w.Bytes8(rec.blob)
 	w.String(rec.str)
 	w.Raw(rec.raw[:])
-	copy(w.Reserve(len(rec.block)), rec.block[:])
 	w.Uvarint(uint64(rec.length))
 	w.Raw(make([]byte, rec.length))
 	w.Uvarint(uint64(rec.count))
 	for i := 0; i < rec.count; i++ {
-		w.U16(uint16(i))
+		w.Raw([]byte{byte(i), 0})
 	}
 }
 
 func read(r *Reader) record {
 	var rec record
 	rec.u8 = r.U8()
-	rec.u16 = r.U16()
 	rec.u32 = r.U32()
-	rec.u64 = r.U64()
 	rec.uv = r.Uvarint()
 	rec.sv = r.Varint()
 	rec.yes = r.Bool()
 	rec.no = r.Bool()
-	rec.blob = r.Bytes8()
 	rec.str = r.String()
 	copy(rec.raw[:], r.Raw(len(rec.raw)))
-	copy(rec.block[:], r.Take(len(rec.block)))
 	rec.length = r.Length()
 	r.Raw(rec.length)
 	rec.count = r.Count(2)
 	for i := 0; i < rec.count; i++ {
-		r.U16()
+		r.Raw(2)
 	}
 	return rec
 }
@@ -81,9 +68,6 @@ func read(r *Reader) record {
 func TestRoundTrip(t *testing.T) {
 	w := NewWriter(0)
 	sample.write(w)
-	if w.Len() != len(w.Bytes()) {
-		t.Fatalf("Len %d != len(Bytes) %d", w.Len(), len(w.Bytes()))
-	}
 	r := NewReader(w.Bytes())
 	got := read(r)
 	if err := r.Err(); err != nil {
@@ -96,15 +80,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("round-trip changed the record:\n got %+v\nwant %+v", got, sample)
 	}
 
-	// Bytes8 and Raw hand out copies (the input may be an mmap about to
-	// go away); Take is documented as a view.
-	in := append([]byte(nil), w.Bytes()...)
-	got = read(NewReader(in))
-	for i := range in {
-		in[i] = 0
-	}
-	if !bytes.Equal(got.blob, sample.blob) {
-		t.Error("Bytes8 result aliases the input buffer")
+	// Raw hands out copies (the input may be an mmap about to go away).
+	in := []byte{1, 2, 3}
+	raw := NewReader(in).Raw(len(in))
+	in[0] = 0
+	if !bytes.Equal(raw, []byte{1, 2, 3}) {
+		t.Error("Raw result aliases the input buffer")
 	}
 }
 
@@ -122,9 +103,8 @@ func TestTruncation(t *testing.T) {
 		if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("cut at %d of %d: Err = %v, want ErrMalformed", cut, len(full), err)
 		}
-		if r.U8() != 0 || r.U64() != 0 || r.Uvarint() != 0 || r.Varint() != 0 || r.Bool() ||
-			r.Bytes8() != nil || r.String() != "" || r.Raw(1) != nil || r.Take(1) != nil ||
-			r.Length() != 0 || r.Count(1) != 0 {
+		if r.U8() != 0 || r.U32() != 0 || r.Uvarint() != 0 || r.Varint() != 0 || r.Bool() ||
+			r.String() != "" || r.Raw(1) != nil || r.Length() != 0 || r.Count(1) != 0 {
 			t.Fatalf("cut at %d: a read after the latched error returned a non-zero value", cut)
 		}
 		if r.Err() != err {
@@ -147,7 +127,6 @@ func TestOverlongPrefix(t *testing.T) {
 		in   []byte
 		read func(*Reader)
 	}{
-		{"Bytes8", prefixed(5, 4), func(r *Reader) { r.Bytes8() }},
 		{"String", prefixed(5, 4), func(r *Reader) { _ = r.String() }},
 		{"Length", prefixed(math.MaxUint64, 4), func(r *Reader) { r.Length() }},
 		{"Length over MaxInt32", prefixed(math.MaxInt32+1, 0), func(r *Reader) { r.Length() }},
@@ -155,7 +134,6 @@ func TestOverlongPrefix(t *testing.T) {
 		{"Count huge", prefixed(math.MaxUint64, 4), func(r *Reader) { r.Count(0) }},
 		{"Raw", []byte{1, 2}, func(r *Reader) { r.Raw(3) }},
 		{"Raw negative", []byte{1, 2}, func(r *Reader) { r.Raw(-1) }},
-		{"Take", []byte{1, 2}, func(r *Reader) { r.Take(3) }},
 		{"Uvarint overflow", bytes.Repeat([]byte{0xFF}, 11), func(r *Reader) { r.Uvarint() }},
 		{"Varint overflow", bytes.Repeat([]byte{0xFF}, 11), func(r *Reader) { r.Varint() }},
 	}
